@@ -33,6 +33,17 @@ def format_subset(mask: int, labels: Sequence[str]) -> str:
     return "{" + ",".join(subset_labels(mask, labels)) + "}"
 
 
+def is_clique(adj: Sequence[int], sub: int) -> bool:
+    """True iff the members of sub are pairwise adjacent (adj irreflexive)."""
+    rest = sub
+    while rest:
+        low = rest & -rest
+        if sub & ~adj[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
+    return True
+
+
 def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
     """All maximal cliques of the graph induced on the vertex set sub.
 
@@ -50,14 +61,21 @@ def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
         # pivot: vertex of p|x with most neighbors in p, shrinking the branch set
         pivot = -1
         best = -1
-        for u in bits(p | x):
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             deg = (adj[u] & p).bit_count()
             if deg > best:
                 best = deg
                 pivot = u
-        for v in bits(p & ~adj[pivot]):
-            vb = 1 << v
-            expand(r | vb, p & adj[v] & sub, x & adj[v] & sub)
+        rest = p & ~adj[pivot]
+        while rest:
+            vb = rest & -rest
+            rest ^= vb
+            av = adj[vb.bit_length() - 1] & sub
+            expand(r | vb, p & av, x & av)
             p ^= vb
             x |= vb
 

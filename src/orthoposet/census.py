@@ -36,12 +36,15 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from .bitset import bits, maximal_cliques
-from .errors import SizeLimitError
-from .logic import _logic_from_family, is_boolean, is_orthomodular
+from .errors import OrthoposetError, SizeLimitError
+from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
+                    is_orthomodular)
 from .npatterns import _has_covering_n, _has_n, _has_weak_n
-from .orthoset import (Orthoset, _closed_family, _compatible_rows, _dacey_rows,
-                       orthoset_from_pairs)
-from .poset import DEFAULT_MAX_ELEMENTS, Poset, from_up_rows
+from .orthoset import (DEFAULT_MAX_FAMILY, Orthoset, _closed_family,
+                       _compatible_rows, _dacey_rows, orthoset_from_pairs,
+                       perp_table)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _covers_from_up, _transpose,
+                    from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
 _SHARD_PREFIX_SIZE = 4
@@ -155,8 +158,11 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5,
     random.Random(seed).sample, then for each position pair i < j in
     row-major order keep the edge perm[i] < perm[j] with probability
     edge_prob (one rng.random() call per pair, in that order), and close
-    transitively.
+    transitively.  Raises OrthoposetError if n is negative and
+    SizeLimitError if it exceeds max_elements.
     """
+    if n < 0:
+        raise OrthoposetError(f"poset size must be non-negative, got {n}")
     if n > max_elements:
         raise SizeLimitError(f"poset has {n} elements, cap is {max_elements}")
     rng = random.Random(seed)
@@ -193,17 +199,19 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
 
 def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
               cover_up: Sequence[int], cover_down: Sequence[int],
-              incomp: Sequence[int], max_lattice: int = 4096) -> TheoremReport:
+              incomp: Sequence[int],
+              max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """All seven predicates and the equivalence checks on raw relation rows."""
     full = (1 << n) - 1
     n_free = not _has_n(n, up, down, cover_up, incomp)
     cov_n_free = not _has_covering_n(n, cover_up, cover_down, incomp)
     weak_free = not _has_weak_n(n, up, down, cover_up, incomp)
 
-    family = _closed_family(incomp, n, 1 << 20)
-    dacey, _ = _dacey_rows(incomp, n, family=family)
-    compatible, _ = _compatible_rows(incomp, n)
-    logic = _logic_from_family(incomp, n, family, max_lattice)
+    family = _closed_family(incomp, n, DEFAULT_MAX_FAMILY)
+    table = perp_table(incomp, n)
+    dacey, _ = _dacey_rows(incomp, n, family=family, table=table)
+    compatible, _ = _compatible_rows(incomp, n, table)
+    logic = _logic_from_family(incomp, n, family, max_lattice, table)
     oml, _ = is_orthomodular(logic)
     boolean, _ = is_boolean(logic)
 
@@ -234,24 +242,11 @@ def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
                          chain_antichain, len(family), tuple(violations))
 
 
-def verify_theorems(p: Poset, max_lattice: int = 4096) -> TheoremReport:
+def verify_theorems(p: Poset,
+                    max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """Decide all predicates for one poset and cross-check the equivalences."""
     return _pipeline(p.n, p.up, p.down, p.cover_up, p.cover_down, p.incomp,
                      max_lattice)
-
-
-def _covers_rows(up: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    cov = []
-    for x in range(n):
-        rem = up[x]
-        for z in bits(up[x]):
-            rem &= ~up[z]
-        cov.append(rem)
-    covdn = [0] * n
-    for x in range(n):
-        for y in bits(cov[x]):
-            covdn[y] |= 1 << x
-    return cov, covdn
 
 
 def _census_shard(args: tuple[int, list | None]) -> tuple[int, list[int], list[str]]:
@@ -263,9 +258,9 @@ def _census_shard(args: tuple[int, list | None]) -> tuple[int, list[int], list[s
     violations: list[str] = []
     for up, dn in _enumerate_rows(n, prefix):
         total += 1
-        cov, covdn = _covers_rows(up, n)
+        cov = _covers_from_up(up, n)
         incomp = [full & ~(up[x] | dn[x] | (1 << x)) for x in range(n)]
-        rep = _pipeline(n, up, dn, cov, covdn, incomp)
+        rep = _pipeline(n, up, dn, cov, _transpose(cov, n), incomp)
         for i, flag in enumerate((rep.n_free, rep.weak_n_free, rep.dacey,
                                   rep.compatible, rep.oml, rep.boolean,
                                   rep.chain_antichain)):
@@ -326,7 +321,7 @@ def _census_shard_multi(args: tuple[int, list]) -> tuple[int, list[int], list[st
 _SEARCH_PREDICATES = {}
 
 
-def _pred_nfree_strict_not_dacey(n, up, dn, cov, covdn, incomp) -> bool:
+def _pred_nfree_strict_not_dacey(n, up, dn, cov, incomp) -> bool:
     if _has_n(n, up, dn, cov, incomp):
         return False
     strict = [up[x] | dn[x] for x in range(n)]
@@ -334,7 +329,7 @@ def _pred_nfree_strict_not_dacey(n, up, dn, cov, covdn, incomp) -> bool:
     return not ok
 
 
-def _pred_strict_dacey(n, up, dn, cov, covdn, incomp) -> bool:
+def _pred_strict_dacey(n, up, dn, cov, incomp) -> bool:
     strict = [up[x] | dn[x] for x in range(n)]
     ok, _ = _dacey_rows(strict, n)
     return ok
@@ -365,8 +360,8 @@ def search_counterexample(predicate: str, max_n: int,
     for n in range(1, max_n + 1):
         full = (1 << n) - 1
         for up, dn in _enumerate_rows(n):
-            cov, covdn = _covers_rows(up, n)
+            cov = _covers_from_up(up, n)
             incomp = [full & ~(up[x] | dn[x] | (1 << x)) for x in range(n)]
-            if pred(n, up, dn, cov, covdn, incomp):
+            if pred(n, up, dn, cov, incomp):
                 return from_up_rows(up)
     return None

@@ -18,7 +18,7 @@ from .census import census_run, random_poset, search_counterexample
 from .errors import OrthoposetError
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
                         serialize_poset_file)
-from .logic import build_logic
+from .logic import DEFAULT_MAX_LATTICE, build_logic
 from .orthoset import DEFAULT_MAX_ORTHO_ELEMENTS
 from .poset import DEFAULT_MAX_ELEMENTS
 from .report import build_report, emit_json_report
@@ -119,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_MAX_ELEMENTS,
                         help="largest poset accepted (default %(default)s)")
         if lattice:
-            sp.add_argument("--max-lattice", type=int, default=4096,
+            sp.add_argument("--max-lattice", type=int,
+                            default=DEFAULT_MAX_LATTICE,
                             help="largest logic tabulated (default %(default)s)")
 
     sp = sub.add_parser("analyze", help="full report for one poset file")

@@ -10,11 +10,13 @@ stored by element index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .bitset import bits
 from .errors import SizeLimitError
 from .orthoset import (DEFAULT_MAX_FAMILY, DEFAULT_MAX_ORTHO_ELEMENTS,
-                       Orthoset, _perp_rows, enumerate_orthoclosed)
+                       Orthoset, enumerate_orthoclosed, perp_table)
 
 DEFAULT_MAX_LATTICE = 4096
 
@@ -50,66 +52,73 @@ def build_logic(
 ) -> Logic:
     """Tabulate the logic of o.
 
-    Meets must land back in the family (intersections of closed sets are
-    closed) and the two join formulas, perp of intersection of perps and
-    double perp of the union, must agree; both facts are asserted during
-    construction.  Raises SizeLimitError when the family is larger than
-    max_lattice.
+    Meets (intersections of closed sets are closed), joins and
+    orthocomplements must land back in the family, and the two join
+    formulas, perp of intersection of perps and double perp of the union,
+    must agree; all of this is asserted during construction.  Raises
+    SizeLimitError when the family is larger than max_lattice.
     """
     elements = enumerate_orthoclosed(o, max_elements, max_family)
     return _logic_from_family(o.adj, o.n, elements, max_lattice)
 
 
 def _logic_from_family(adj, n: int, elements: list[int],
-                       max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
+                       max_lattice: int = DEFAULT_MAX_LATTICE,
+                       table: tuple[list[int], list[int]] | None = None,
+                       ) -> Logic:
     m = len(elements)
     if m > max_lattice:
         raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
+    lo, hi = perp_table(adj, n) if table is None else table
+    h = n // 2
+    lm = (1 << h) - 1
     index = {e: i for i, e in enumerate(elements)}
+    get = index.get
+    pow2 = [1 << j for j in range(m)]
+
+    perps = [lo[e & lm] & hi[e >> h] for e in elements]
+    ocompl = list(map(get, perps))
+    if None in ocompl:
+        raise AssertionError(
+            f"perp of element {ocompl.index(None)} left the family")
 
     leq = []
-    for ei in elements:
-        row = 0
-        for j, ej in enumerate(elements):
-            if not ei & ~ej:
-                row |= 1 << j
-        leq.append(row)
-
-    perps = [_perp_rows(adj, n, e) for e in elements]
-    ocompl = []
-    for i, pe in enumerate(perps):
-        k = index.get(pe)
-        if k is None:
-            raise AssertionError(f"perp of element {i} left the family")
-        ocompl.append(k)
-
     meet = []
     join = []
     for i, ei in enumerate(elements):
-        mrow = []
-        jrow = []
-        for j, ej in enumerate(elements):
-            inter = ei & ej
-            k = index.get(inter)
-            if k is None:
-                raise AssertionError(
-                    f"meet of elements {i}, {j} is not orthoclosed")
-            mrow.append(k)
-            jv = _perp_rows(adj, n, perps[i] & perps[j])
-            jv2 = _perp_rows(adj, n, _perp_rows(adj, n, ei | ej))
-            if jv != jv2:
-                raise AssertionError(
-                    f"join formulas disagree on elements {i}, {j}")
-            jk = index.get(jv)
-            if jk is None:
-                raise AssertionError(
-                    f"join of elements {i}, {j} left the family")
-            jrow.append(jk)
+        inter = [ei & ej for ej in elements]
+        leq.append(sum(compress(pow2, [t == ei for t in inter])))
+        mrow = list(map(get, inter))
+        pi = perps[i]
+        # join as the perp of the intersection of perps, and as the double
+        # perp of the union; the perp of the union is looked up, not taken
+        # as pi & pj, so that the two formulas stay independent
+        jv = [lo[(q := pi & pj) & lm] & hi[q >> h] for pj in perps]
+        pu = [lo[(u := ei | ej) & lm] & hi[u >> h] for ej in elements]
+        jv2 = [lo[q & lm] & hi[q >> h] for q in pu]
+        jrow = list(map(get, jv))
+        if None in mrow or jv != jv2 or None in jrow:
+            _raise_first_bad_cell(i, mrow, jv, jv2, jrow)
         meet.append(tuple(mrow))
         join.append(tuple(jrow))
 
     return Logic(tuple(elements), tuple(leq), tuple(ocompl),
                  tuple(meet), tuple(join))
+
+
+def _raise_first_bad_cell(i: int, mrow, jv, jv2, jrow) -> None:
+    # checks in the order a cell-by-cell scan makes them, so the message
+    # names the first failing cell of row i
+    for j in range(len(mrow)):
+        if mrow[j] is None:
+            raise AssertionError(
+                f"meet of elements {i}, {j} is not orthoclosed")
+        if jv[j] != jv2[j]:
+            raise AssertionError(
+                f"join formulas disagree on elements {i}, {j}")
+        if jrow[j] is None:
+            raise AssertionError(
+                f"join of elements {i}, {j} left the family")
 
 
 @dataclass(frozen=True)
@@ -194,35 +203,32 @@ def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
 
 
 def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
-    """Decide distributivity by full scan; lex-least witness triple.
+    """Decide distributivity; lex-least witness triple.
 
     Cross-checked against the disjointness law (meet zero forces being under
     the complement), which holds exactly on the Boolean logics; the two
     verdicts are asserted to agree.
     """
-    verdict = True
-    witness: tuple[int, int, int] | None = None
-    for i in range(l.m):
-        mi = l.meet[i]
-        for j in range(l.m):
-            for k in range(l.m):
-                if mi[l.join[j][k]] != l.join[mi[j]][mi[k]]:
-                    verdict, witness = False, (i, j, k)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-
-    disjoint_law = True
-    for a in range(l.m):
-        for b in range(l.m):
-            if l.meet[a][b] == l.bottom and not l.leq[a] >> l.ocompl[b] & 1:
-                disjoint_law = False
-                break
-        if not disjoint_law:
-            break
-    if verdict != disjoint_law:
+    witness = _distributivity_witness(l)
+    disjoint_law = not any(
+        k == l.bottom and not l.leq[a] >> c & 1
+        for a, row in enumerate(l.meet) for k, c in zip(row, l.ocompl))
+    if (witness is None) != disjoint_law:
         raise AssertionError(
             "distributivity and the disjointness law disagree")
-    return verdict, witness
+    return witness is None, witness
+
+
+def _distributivity_witness(l: Logic) -> tuple[int, int, int] | None:
+    # for each i and j, the row over k of i meet (j join k) is compared
+    # whole against that of (i meet j) join (i meet k), at C speed; k is
+    # scanned only in the first row that differs, to name the witness
+    through_join = [itemgetter(*row) for row in l.join]
+    for i, mi in enumerate(l.meet):
+        over_meet = itemgetter(*mi)
+        for j, mij in enumerate(mi):
+            if through_join[j](mi) != over_meet(l.join[mij]):
+                jj, jm = l.join[j], l.join[mij]
+                k = next(k for k in range(l.m) if mi[jj[k]] != jm[mi[k]])
+                return i, j, k
+    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .bitset import bits, maximal_cliques
+from .bitset import bits, is_clique, maximal_cliques
 from .errors import NotOrthoclosedError, SizeLimitError
 
 DEFAULT_MAX_ORTHO_ELEMENTS = 20
@@ -65,9 +65,32 @@ def validate_orthoset(o: Orthoset) -> None:
 
 def _perp_rows(adj: Sequence[int], n: int, x: int) -> int:
     s = (1 << n) - 1
-    for i in bits(x):
-        s &= adj[i]
+    while x:
+        low = x & -x
+        s &= adj[low.bit_length() - 1]
+        x ^= low
     return s
+
+
+def perp_table(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """Subset-AND tables (lo, hi) giving every perp by two lookups.
+
+    With h = n // 2, perp(x) == lo[x & (2**h - 1)] & hi[x >> h]: lo holds
+    the perp of every subset of 0..h-1 and hi that of every subset of
+    h..n-1, each built by doubling (the subsets with bit i are those
+    without it, ANDed with adj[i]).  Together they have about 2**(n/2 + 1)
+    entries, 8192 at n = 24.
+    """
+    h = n // 2
+    lo = [(1 << n) - 1]
+    for i in range(h):
+        row = adj[i]
+        lo += [t & row for t in lo]
+    hi = [(1 << n) - 1]
+    for i in range(h, n):
+        row = adj[i]
+        hi += [t & row for t in hi]
+    return lo, hi
 
 
 def perp(o: Orthoset, x: int) -> int:
@@ -162,14 +185,19 @@ def is_dacey_subset(o: Orthoset, x: int) -> bool:
 def _dacey_rows(adj: Sequence[int], n: int,
                 max_family: int = DEFAULT_MAX_FAMILY,
                 family: Sequence[int] | None = None,
+                table: tuple[list[int], list[int]] | None = None,
                 ) -> tuple[bool, tuple[int, int] | None]:
-    full = (1 << n) - 1
     if family is None:
         family = _closed_family(adj, n, max_family)
+    lo, hi = perp_table(adj, n) if table is None else table
+    h = n // 2
+    lm = (1 << h) - 1
     for x in family:
-        px = _perp_rows(adj, n, x)
+        if is_clique(adj, x):
+            continue  # a clique is its own only basis, so it cannot fail
+        px = lo[x & lm] & hi[x >> h]
         for b in maximal_cliques(adj, x):
-            if _perp_rows(adj, n, b) & ~px & full:
+            if lo[b & lm] & hi[b >> h] & ~px:
                 return False, (x, b)
     return True, None
 
@@ -190,15 +218,21 @@ def is_dacey(
     return _dacey_rows(o.adj, o.n, max_family)
 
 
-def _compatible_rows(adj: Sequence[int], n: int) -> tuple[bool, tuple[int, int] | None]:
+def _compatible_rows(adj: Sequence[int], n: int,
+                     table: tuple[list[int], list[int]] | None = None,
+                     ) -> tuple[bool, tuple[int, int] | None]:
+    lo, hi = perp_table(adj, n) if table is None else table
+    h = n // 2
+    lm = (1 << h) - 1
+    # closure of {x} is the perp of adj[x]
+    hulls = [lo[r & lm] & hi[r >> h] for r in adj]
     for x in range(n):
         for y in range(x + 1, n):
             if adj[x] >> y & 1:
                 continue
             joined = adj[x] | adj[y]
             bound_exists = any(not joined & ~adj[z] for z in range(n))
-            hulls_meet = bool(
-                _perp_rows(adj, n, adj[x]) & _perp_rows(adj, n, adj[y]))
+            hulls_meet = bool(hulls[x] & hulls[y])
             # the two formulations agree pair by pair; a mismatch is a bug
             if bound_exists != hulls_meet:
                 raise AssertionError(

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 
 from .bitset import bits, maximal_cliques
-from .errors import CycleError, SizeLimitError
+from .errors import CycleError, OrthoposetError, SizeLimitError
 
 DEFAULT_MAX_ELEMENTS = 24
 
@@ -42,11 +42,22 @@ def _covers_from_up(up: Sequence[int], n: int) -> list[int]:
     # y covers x iff y is minimal in up[x]: remove everything above some z in up[x]
     cov = []
     for x in range(n):
-        rem = up[x]
-        for z in bits(up[x]):
-            rem &= ~up[z]
+        rem = rest = up[x]
+        while rest:
+            low = rest & -rest
+            rem &= ~up[low.bit_length() - 1]
+            rest ^= low
         cov.append(rem)
     return cov
+
+
+def _transpose(rows: Sequence[int], n: int) -> list[int]:
+    """Rows of the converse relation: bit x of out[y] iff bit y of rows[x]."""
+    out = [0] * n
+    for x in range(n):
+        for y in bits(rows[x]):
+            out[y] |= 1 << x
+    return out
 
 
 def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
@@ -60,15 +71,9 @@ def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
     n = len(up)
     full = (1 << n) - 1
     up_t = tuple(up)
-    down = [0] * n
-    for x in range(n):
-        for y in bits(up_t[x]):
-            down[y] |= 1 << x
+    down = _transpose(up_t, n)
     cover_up = _covers_from_up(up_t, n)
-    cover_down = [0] * n
-    for x in range(n):
-        for y in bits(cover_up[x]):
-            cover_down[y] |= 1 << x
+    cover_down = _transpose(cover_up, n)
     incomp = [full & ~(up_t[x] | down[x] | (1 << x)) for x in range(n)]
     lab = _default_labels(n) if labels is None else tuple(labels)
     p = Poset(n, up_t, tuple(down), tuple(cover_up), tuple(cover_down),
@@ -89,9 +94,11 @@ def poset_from_covers(
     The strict order is the transitive closure of the pairs; a pair that turns
     out to be transitively implied is tolerated (covers are recomputed from
     the closed order).  Raises CycleError if the pairs admit a directed cycle,
-    SizeLimitError if n exceeds max_elements, IndexError on an out-of-range
-    element.
+    SizeLimitError if n exceeds max_elements, OrthoposetError if n is
+    negative, IndexError on an out-of-range element.
     """
+    if n < 0:
+        raise OrthoposetError(f"poset size must be non-negative, got {n}")
     if n > max_elements:
         raise SizeLimitError(
             f"poset has {n} elements, cap is {max_elements}; "

@@ -57,23 +57,33 @@ def build_report(p: Poset, source: str = "<memory>",
     ww = find_weak_n(p)
     if ww:
         witnesses["weak_n"] = {"quad": [labels[i] for i in ww.quad]}
-    ok, dw = is_dacey(o, max_elements=cap)
-    if not ok and dw:
-        witnesses["dacey"] = {"closed_set": subset_labels(dw[0], labels),
-                              "basis": subset_labels(dw[1], labels)}
-    ok, pw = is_compatible(o, max_elements=cap)
-    if not ok and pw:
-        witnesses["compatible"] = {"pair": [labels[pw[0]], labels[pw[1]]]}
-    logic = build_logic(o, max_elements=cap, max_lattice=max_lattice)
-    ok, ow = is_orthomodular(logic)
-    if not ok and ow:
-        witnesses["oml"] = {"x": subset_labels(logic.elements[ow[0]], labels),
-                            "y": subset_labels(logic.elements[ow[1]], labels)}
-    ok, bw = is_boolean(logic)
-    if not ok and bw:
-        witnesses["boolean"] = {"x": subset_labels(logic.elements[bw[0]], labels),
-                                "y": subset_labels(logic.elements[bw[1]], labels),
-                                "z": subset_labels(logic.elements[bw[2]], labels)}
+    # verify_theorems has the verdicts; rerun a decision procedure on the
+    # same input only to name the witness of a failing predicate
+    if not rep.dacey:
+        _, dw = is_dacey(o, max_elements=cap)
+        if dw:
+            witnesses["dacey"] = {"closed_set": subset_labels(dw[0], labels),
+                                  "basis": subset_labels(dw[1], labels)}
+    if not rep.compatible:
+        _, pw = is_compatible(o, max_elements=cap)
+        if pw:
+            witnesses["compatible"] = {"pair": [labels[pw[0]],
+                                                labels[pw[1]]]}
+    if not (rep.oml and rep.boolean):
+        logic = build_logic(o, max_elements=cap, max_lattice=max_lattice)
+
+        def named(*idx: int) -> dict[str, list[str]]:
+            return {k: subset_labels(logic.elements[i], labels)
+                    for k, i in zip("xyz", idx)}
+
+        if not rep.oml:
+            _, ow = is_orthomodular(logic)
+            if ow:
+                witnesses["oml"] = named(*ow)
+        if not rep.boolean:
+            _, bw = is_boolean(logic)
+            if bw:
+                witnesses["boolean"] = named(*bw)
 
     predicates = {
         "n_free": rep.n_free,

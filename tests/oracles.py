@@ -163,6 +163,28 @@ def brute_compatible(adj: tuple[int, ...], n: int) -> bool:
                if not adj[x] >> y & 1)
 
 
+def brute_distributivity_witness(adj: tuple[int, ...], n: int,
+                                 ) -> tuple[int, int, int] | None:
+    """Lex-least (i, j, k) with x_i meet (x_j join x_k) unequal to
+    (x_i meet x_j) join (x_i meet x_k), or None when the logic is Boolean.
+
+    Indices refer to the closed sets in ascending mask order; meet is
+    intersection and join the double perp of the union, each evaluated
+    directly on masks for every triple.
+    """
+    closed = brute_closed_sets(adj, n)
+
+    def join(x, y):
+        return brute_perp(adj, n, brute_perp(adj, n, x | y))
+
+    for i, x in enumerate(closed):
+        for j, y in enumerate(closed):
+            for k, z in enumerate(closed):
+                if x & join(y, z) != join(x & y, x & z):
+                    return i, j, k
+    return None
+
+
 def brute_maximal_cliques(adj: tuple[int, ...], n: int, sub: int) -> list[int]:
     good = []
     for s in range(1 << n):

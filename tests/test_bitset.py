@@ -2,8 +2,8 @@
 
 import random
 
-from orthoposet.bitset import (bits, format_subset, mask_of, maximal_cliques,
-                               subset_labels)
+from orthoposet.bitset import (bits, format_subset, is_clique, mask_of,
+                               maximal_cliques, subset_labels)
 
 from oracles import brute_maximal_cliques
 
@@ -46,5 +46,7 @@ def test_maximal_cliques_against_filter():
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         sub = rng.getrandbits(n)
-        assert maximal_cliques(adj, sub) == \
-            brute_maximal_cliques(tuple(adj), n, sub)
+        cliques = brute_maximal_cliques(tuple(adj), n, sub)
+        assert maximal_cliques(adj, sub) == cliques
+        # sub is a clique exactly when it is its own only maximal clique
+        assert is_clique(adj, sub) == (cliques == [sub])

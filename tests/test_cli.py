@@ -149,6 +149,17 @@ def test_generate_requires_n(capsys):
     assert "--n is required" in capsys.readouterr().err
 
 
+def test_generate_rejects_negative_n(capsys):
+    assert main(["generate", "--kind", "random", "--n", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative" in err
+    assert "Traceback" not in err
+    assert main(["generate", "--kind", "chain", "--n", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-negative" in err
+    assert "cycle" not in err
+
+
 def test_generate_random_is_seeded(capsys):
     assert main(["generate", "--kind", "random", "--n", "6",
                  "--seed", "9"]) == 0

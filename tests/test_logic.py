@@ -6,11 +6,15 @@ import pytest
 
 from orthoposet.bridges import incomparability_orthoset
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
-                                path_orthoset)
-from orthoposet.census import random_orthoset
+                                nfree_strict_non_dacey, path_orthoset,
+                                weak_nfree_incompatible)
+from orthoposet.census import _enumerate_rows, random_orthoset
 from orthoposet.errors import SizeLimitError
-from orthoposet.logic import (build_logic, is_boolean, is_orthomodular,
-                              verify_ortholattice)
+from orthoposet.logic import (_logic_from_family, build_logic, is_boolean,
+                              is_orthomodular, verify_ortholattice)
+from orthoposet.orthoset import Orthoset
+
+from oracles import brute_distributivity_witness, incomparability_adj
 
 
 def test_hexagon_logic():
@@ -118,3 +122,31 @@ def test_boolean_implies_orthomodular():
 def test_lattice_size_cap():
     with pytest.raises(SizeLimitError):
         build_logic(incomparability_orthoset(diamond22()), max_lattice=4)
+
+
+def _assert_boolean_matches_oracle(o: Orthoset) -> None:
+    witness = brute_distributivity_witness(o.adj, o.n)
+    assert is_boolean(build_logic(o)) == (witness is None, witness)
+
+
+def test_boolean_against_triple_oracle_small_posets():
+    for n in range(5):
+        for up, _dn in _enumerate_rows(n):
+            _assert_boolean_matches_oracle(
+                Orthoset(n, incomparability_adj(n, up)))
+
+
+def test_boolean_against_triple_oracle_catalog():
+    for p in (n_poset(), diamond22(), weak_nfree_incompatible(),
+              nfree_strict_non_dacey(), chain(4), antichain(4)):
+        _assert_boolean_matches_oracle(incomparability_orthoset(p))
+    _assert_boolean_matches_oracle(path_orthoset(4))
+
+
+def test_logic_rejects_family_not_closed_under_meet():
+    # no orthogonality on 3 elements: the closed sets are only {} and all.
+    # {0,1} and {1,2} have perp {} like every nonempty set, so the
+    # orthocomplement check passes and their meet {1} is the first failure
+    with pytest.raises(AssertionError,
+                       match=r"meet of elements 1, 2 is not orthoclosed"):
+        _logic_from_family((0, 0, 0), 3, [0b000, 0b011, 0b110, 0b111])

@@ -11,7 +11,8 @@ from orthoposet.orthoset import (Orthoset, bases, dacey_subset_checks,
                                  double_perp, enumerate_orthoclosed,
                                  is_compatible, is_dacey, is_dacey_subset,
                                  is_orthoclosed, orthocomplement_pair_check,
-                                 orthoset_from_pairs, perp, validate_orthoset)
+                                 orthoset_from_pairs, perp, perp_table,
+                                 validate_orthoset)
 
 from oracles import (brute_closed_sets, brute_maximal_cliques, brute_perp,
                      mutual_perp_condition)
@@ -107,6 +108,31 @@ def test_perp_against_filter():
         o = random_orthoset(seed % 8 + 1, seed + 60)
         for x in range(1 << o.n):
             assert perp(o, x) == brute_perp(o.adj, o.n, x)
+
+
+def _table_perp(table, n, x):
+    lo, hi = table
+    h = n // 2
+    return lo[x & ((1 << h) - 1)] & hi[x >> h]
+
+
+def test_perp_table_against_filter():
+    for n in (0, 1, 2, 3, 7, 12, 13):
+        for seed in range(3):
+            o = random_orthoset(n, seed + 90 * n)
+            table = perp_table(o.adj, o.n)
+            for x in range(1 << n):
+                assert _table_perp(table, n, x) == brute_perp(o.adj, n, x)
+
+
+def test_perp_table_sampled_at_cap():
+    rng = random.Random(24)
+    for seed in range(3):
+        o = random_orthoset(24, seed + 2400, edge_prob=0.8)
+        table = perp_table(o.adj, o.n)
+        for x in [0, o.full] + [rng.getrandbits(24) >> rng.randrange(24)
+                                for _ in range(300)]:
+            assert _table_perp(table, 24, x) == brute_perp(o.adj, 24, x)
 
 
 def test_perp_is_antitone_galois():
