@@ -31,23 +31,27 @@ identical.
 from __future__ import annotations
 
 import random
+import signal
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from multiprocessing import Pool
 
-from .bitset import bits, maximal_cliques
+from .bitset import bits
 from .errors import OrthoposetError, SizeLimitError
 from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
                     is_orthomodular)
-from .npatterns import _has_covering_n, _has_n, _has_weak_n
+from .npatterns import _chain_antichain_rows, _find_quad
 from .orthoset import (DEFAULT_MAX_FAMILY, Orthoset, _closed_family,
                        _compatible_rows, _dacey_rows, orthoset_from_pairs,
                        perp_table)
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _covers_from_up, _transpose,
-                    from_up_rows)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _covers_from_up,
+                    _incomparability, from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
 _SHARD_PREFIX_SIZE = 4
+# the seven predicates, in the order CensusSummary counts them
+_PREDICATES = ("n_free", "weak_n_free", "dacey", "compatible", "oml",
+               "boolean", "chain_antichain")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,12 @@ class CensusSummary:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-poset predicate verdicts plus any equivalence violations."""
+    """Per-poset predicate verdicts, equivalence violations and witnesses.
+
+    witnesses maps each failing predicate to the raw witness its standalone
+    procedure names: element indices for the N quads and the incompatible
+    pair, masks for the Dacey pair and the oml and boolean logic elements.
+    """
 
     n_free: bool
     weak_n_free: bool
@@ -79,6 +88,7 @@ class TheoremReport:
     chain_antichain: bool
     lattice_size: int
     violations: tuple[str, ...]
+    witnesses: dict[str, tuple[int, ...]]
 
 
 def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
@@ -198,29 +208,33 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
 
 
 def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
-              cover_up: Sequence[int], cover_down: Sequence[int],
-              incomp: Sequence[int],
+              cover_up: Sequence[int], incomp: Sequence[int],
               max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """All seven predicates and the equivalence checks on raw relation rows."""
-    full = (1 << n) - 1
-    n_free = not _has_n(n, up, down, cover_up, incomp)
-    cov_n_free = not _has_covering_n(n, cover_up, cover_down, incomp)
-    weak_free = not _has_weak_n(n, up, down, cover_up, incomp)
-
+    """The one decision pass: all seven predicates, the equivalence checks
+    and the witness of every failing predicate, on raw relation rows."""
+    found = {
+        "n": _find_quad(n, up, up, incomp, cover_up, incomp),
+        "covering_n": _find_quad(n, cover_up, cover_up, incomp, cover_up,
+                                 incomp),
+        "weak_n": _find_quad(n, up, up, [(1 << n) - 1] * n, cover_up, incomp),
+    }
     family = _closed_family(incomp, n, DEFAULT_MAX_FAMILY)
     table = perp_table(incomp, n)
-    dacey, _ = _dacey_rows(incomp, n, family=family, table=table)
-    compatible, _ = _compatible_rows(incomp, n, table)
+    _, found["dacey"] = _dacey_rows(incomp, n, family=family, table=table)
+    _, found["compatible"] = _compatible_rows(incomp, n, table)
     logic = _logic_from_family(incomp, n, family, max_lattice, table)
-    oml, _ = is_orthomodular(logic)
-    boolean, _ = is_boolean(logic)
+    # the logic names its elements by index; witnesses carry their masks
+    for name, (_, idx) in (("oml", is_orthomodular(logic)),
+                           ("boolean", is_boolean(logic))):
+        if idx is not None:
+            found[name] = tuple(family[i] for i in idx)
+    witnesses = {k: w for k, w in found.items() if w is not None}
 
-    if n == 0:
-        chain_antichain = True
-    else:
-        chains = maximal_cliques([up[x] | down[x] for x in range(n)], full)
-        antis = maximal_cliques(incomp, full)
-        chain_antichain = all(c & a for c in chains for a in antis)
+    n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
+        kind not in witnesses for kind in
+        ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
+    chain_antichain = _chain_antichain_rows(
+        n, [up[x] | down[x] for x in range(n)], incomp)
 
     violations = []
     for name, lhs, rhs in (
@@ -239,35 +253,35 @@ def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
         violations.append("boolean without oml")
 
     return TheoremReport(n_free, weak_free, dacey, compatible, oml, boolean,
-                         chain_antichain, len(family), tuple(violations))
+                         chain_antichain, len(family), tuple(violations),
+                         witnesses)
 
 
 def verify_theorems(p: Poset,
                     max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """Decide all predicates for one poset and cross-check the equivalences."""
-    return _pipeline(p.n, p.up, p.down, p.cover_up, p.cover_down, p.incomp,
-                     max_lattice)
+    """Decide all predicates for one poset, cross-check the equivalences and
+    name the witness of every failing predicate, in one pass."""
+    return _pipeline(p.n, p.up, p.down, p.cover_up, p.incomp, max_lattice)
 
 
 def _census_shard(args: tuple[int, list | None]) -> tuple[int, list[int], list[str]]:
-    """Tally one stream of posets; args is (n, prefix or None)."""
-    n, prefix = args
-    full = (1 << n) - 1
+    """Tally one stream of posets; args is (n, prefixes or None).
+
+    With prefixes, only the posets extending one of them are tallied.
+    """
+    n, prefixes = args
     total = 0
     counts = [0] * 7
     violations: list[str] = []
-    for up, dn in _enumerate_rows(n, prefix):
-        total += 1
-        cov = _covers_from_up(up, n)
-        incomp = [full & ~(up[x] | dn[x] | (1 << x)) for x in range(n)]
-        rep = _pipeline(n, up, dn, cov, _transpose(cov, n), incomp)
-        for i, flag in enumerate((rep.n_free, rep.weak_n_free, rep.dacey,
-                                  rep.compatible, rep.oml, rep.boolean,
-                                  rep.chain_antichain)):
-            if flag:
-                counts[i] += 1
-        for v in rep.violations:
-            violations.append(f"n={n} up={list(up)}: {v}")
+    for prefix in [None] if prefixes is None else prefixes:
+        for up, dn in _enumerate_rows(n, prefix):
+            total += 1
+            rep = _pipeline(n, up, dn, _covers_from_up(up, n),
+                            _incomparability(up, dn, n))
+            for i, name in enumerate(_PREDICATES):
+                counts[i] += getattr(rep, name)
+            for v in rep.violations:
+                violations.append(f"n={n} up={list(up)}: {v}")
     return total, counts, violations
 
 
@@ -294,8 +308,10 @@ def census_run(max_n: int, workers: int = 1,
         if len(shards) == 1:
             results = [_census_shard(shards[0])]
         else:
-            with Pool(processes=workers) as pool:
-                results = pool.map(_census_shard_multi, shards)
+            # workers ignore Ctrl-C; the parent stops them on its way out
+            with Pool(workers, initializer=signal.signal,
+                      initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+                results = pool.map(_census_shard, shards)
         total = sum(r[0] for r in results)
         counts = [sum(r[1][i] for r in results) for i in range(7)]
         violations = sorted(v for r in results for v in r[2])
@@ -303,40 +319,20 @@ def census_run(max_n: int, workers: int = 1,
     return out
 
 
-def _census_shard_multi(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
-    """Shard worker over a chunk of prefixes."""
-    n, chunk = args
-    total = 0
-    counts = [0] * 7
-    violations: list[str] = []
-    for prefix in chunk:
-        t, c, v = _census_shard((n, prefix))
-        total += t
-        for i in range(7):
-            counts[i] += c[i]
-        violations.extend(v)
-    return total, counts, violations
-
-
-_SEARCH_PREDICATES = {}
-
-
-def _pred_nfree_strict_not_dacey(n, up, dn, cov, incomp) -> bool:
-    if _has_n(n, up, dn, cov, incomp):
-        return False
-    strict = [up[x] | dn[x] for x in range(n)]
-    ok, _ = _dacey_rows(strict, n)
-    return not ok
-
-
 def _pred_strict_dacey(n, up, dn, cov, incomp) -> bool:
-    strict = [up[x] | dn[x] for x in range(n)]
-    ok, _ = _dacey_rows(strict, n)
+    ok, _ = _dacey_rows([up[x] | dn[x] for x in range(n)], n)
     return ok
 
 
-_SEARCH_PREDICATES["nfree_but_strict_not_dacey"] = _pred_nfree_strict_not_dacey
-_SEARCH_PREDICATES["strict_dacey"] = _pred_strict_dacey
+def _pred_nfree_strict_not_dacey(n, up, dn, cov, incomp) -> bool:
+    return (_find_quad(n, up, up, incomp, cov, incomp) is None
+            and not _pred_strict_dacey(n, up, dn, cov, incomp))
+
+
+_SEARCH_PREDICATES = {
+    "nfree_but_strict_not_dacey": _pred_nfree_strict_not_dacey,
+    "strict_dacey": _pred_strict_dacey,
+}
 
 
 def search_counterexample(predicate: str, max_n: int,
@@ -358,10 +354,8 @@ def search_counterexample(predicate: str, max_n: int,
     if max_n > cap:
         raise SizeLimitError(f"search to n={max_n} exceeds cap {cap}")
     for n in range(1, max_n + 1):
-        full = (1 << n) - 1
         for up, dn in _enumerate_rows(n):
-            cov = _covers_from_up(up, n)
-            incomp = [full & ~(up[x] | dn[x] | (1 << x)) for x in range(n)]
-            if pred(n, up, dn, cov, incomp):
+            if pred(n, up, dn, _covers_from_up(up, n),
+                    _incomparability(up, dn, n)):
                 return from_up_rows(up)
     return None

@@ -14,7 +14,8 @@ from dataclasses import asdict
 
 from .bridges import incomparability_orthoset
 from .catalog import antichain, chain, diamond22, n_poset
-from .census import census_run, random_poset, search_counterexample
+from .census import (_SEARCH_PREDICATES, census_run, random_poset,
+                     search_counterexample)
 from .errors import OrthoposetError
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
                         serialize_poset_file)
@@ -148,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="scan for a poset with a property")
     sp.add_argument("--predicate", required=True,
-                    choices=("nfree_but_strict_not_dacey", "strict_dacey"))
+                    choices=sorted(_SEARCH_PREDICATES))
     sp.add_argument("--max-n", type=int, required=True)
     sp.set_defaults(func=_cmd_search)
 
@@ -167,11 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OrthoposetError as exc:
+    except (OrthoposetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

@@ -3,9 +3,9 @@
 An N is a quadruple (a, b, c, d) with a < c, b covered by c, b < d, and
 a incomparable to b, a incomparable to d, c incomparable to d.  The covering
 variant requires all three order relations to be covers; the weak variant
-drops the a-d incomparability requirement.  Witness finders return the
-lexicographically least quadruple; existence checks are cover-pair driven
-and also exposed on raw relation rows for bulk scans.
+drops the a-d incomparability requirement.  One row-level finder returns the
+lexicographically least quadruple of each shape; the shape is the choice of
+rows it walks.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .bitset import bits
-from .poset import Poset, maximal_antichains, maximal_chains
+from .bitset import maximal_cliques
+from .poset import Poset, comparability_rows
 
 NKind = Literal["n", "covering_n", "weak_n"]
 
@@ -25,90 +25,77 @@ class NWitness:
     quad: tuple[int, int, int, int]  # (a, b, c, d)
 
 
-def _has_n(n: int, up: Sequence[int], down: Sequence[int],
-           cover_up: Sequence[int], incomp: Sequence[int]) -> bool:
-    for b in range(n):
-        ib = incomp[b]
-        for c in bits(cover_up[b]):
-            heads = down[c] & ib
-            if not heads:
+def _find_quad(n: int, above_a: Sequence[int], above_b: Sequence[int],
+               beside_a: Sequence[int], cover_up: Sequence[int],
+               incomp: Sequence[int]) -> tuple[int, int, int, int] | None:
+    """Lex-least (a, b, c, d) with a, b and c, d incomparable, c covering b,
+    c in above_a[a], and d in above_b[b] & beside_a[a], or None.
+
+    The rows pick the shape: (up, up, incomp) an N, (cover_up, cover_up,
+    incomp) a covering N, (up, up, all-ones) a weak N.
+    """
+    for a in range(n):
+        ca = above_a[a]
+        da = beside_a[a]
+        rest = incomp[a]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            cs = ca & cover_up[b]
+            if not cs:
                 continue
-            tails = up[b] & incomp[c]
-            if not tails:
+            ds = above_b[b] & da
+            if not ds:
                 continue
-            for a in bits(heads):
-                if tails & incomp[a]:
-                    return True
-    return False
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                tails = ds & incomp[low.bit_length() - 1]
+                if tails:
+                    return (a, b, low.bit_length() - 1,
+                            (tails & -tails).bit_length() - 1)
+    return None
 
 
-def _has_weak_n(n: int, up: Sequence[int], down: Sequence[int],
-                cover_up: Sequence[int], incomp: Sequence[int]) -> bool:
-    # no a-d constraint, so one nonempty head set and tail set suffice
-    for b in range(n):
-        ib = incomp[b]
-        for c in bits(cover_up[b]):
-            if down[c] & ib and up[b] & incomp[c]:
-                return True
-    return False
-
-
-def _has_covering_n(n: int, cover_up: Sequence[int], cover_down: Sequence[int],
-                    incomp: Sequence[int]) -> bool:
-    for b in range(n):
-        ib = incomp[b]
-        for c in bits(cover_up[b]):
-            heads = cover_down[c] & ib
-            if not heads:
-                continue
-            tails = cover_up[b] & incomp[c]
-            if not tails:
-                continue
-            for a in bits(heads):
-                if tails & incomp[a]:
-                    return True
-    return False
+def _witness(kind: NKind, quad: tuple[int, int, int, int] | None,
+             ) -> NWitness | None:
+    return None if quad is None else NWitness(kind, quad)
 
 
 def is_n_free(p: Poset) -> bool:
     """True iff no quadruple of p forms an N."""
-    return not _has_n(p.n, p.up, p.down, p.cover_up, p.incomp)
+    return _find_quad(p.n, p.up, p.up, p.incomp, p.cover_up, p.incomp) is None
 
 
 def find_n(p: Poset) -> NWitness | None:
     """Lexicographically least N quadruple, or None."""
-    for a in range(p.n):
-        for b in bits(p.incomp[a]):
-            for c in bits(p.up[a] & p.cover_up[b]):
-                tails = p.up[b] & p.incomp[c] & p.incomp[a]
-                if tails:
-                    d = (tails & -tails).bit_length() - 1
-                    return NWitness("n", (a, b, c, d))
-    return None
+    return _witness("n", _find_quad(p.n, p.up, p.up, p.incomp,
+                                    p.cover_up, p.incomp))
 
 
 def find_covering_n(p: Poset) -> NWitness | None:
     """Lexicographically least N whose three order relations are all covers."""
-    for a in range(p.n):
-        for b in bits(p.incomp[a]):
-            for c in bits(p.cover_up[a] & p.cover_up[b]):
-                tails = p.cover_up[b] & p.incomp[c] & p.incomp[a]
-                if tails:
-                    d = (tails & -tails).bit_length() - 1
-                    return NWitness("covering_n", (a, b, c, d))
-    return None
+    return _witness("covering_n", _find_quad(p.n, p.cover_up, p.cover_up,
+                                             p.incomp, p.cover_up, p.incomp))
 
 
 def find_weak_n(p: Poset) -> NWitness | None:
     """Lexicographically least weak N (a and d may be comparable), or None."""
-    for a in range(p.n):
-        for b in bits(p.incomp[a]):
-            for c in bits(p.up[a] & p.cover_up[b]):
-                tails = p.up[b] & p.incomp[c]
-                if tails:
-                    d = (tails & -tails).bit_length() - 1
-                    return NWitness("weak_n", (a, b, c, d))
-    return None
+    return _witness("weak_n", _find_quad(p.n, p.up, p.up, [p.full] * p.n,
+                                         p.cover_up, p.incomp))
+
+
+def _chain_antichain_rows(n: int, comparable: Sequence[int],
+                          incomp: Sequence[int]) -> bool:
+    # maximal chains and antichains are the maximal cliques of the
+    # comparability and incomparability graphs
+    if n == 0:
+        return True
+    full = (1 << n) - 1
+    antichains = maximal_cliques(incomp, full)
+    return all(c & a for c in maximal_cliques(comparable, full)
+               for a in antichains)
 
 
 def chain_antichain_property(p: Poset) -> bool:
@@ -117,10 +104,4 @@ def chain_antichain_property(p: Poset) -> bool:
     Chains and antichains are nonempty subsets, so the empty poset satisfies
     this vacuously.
     """
-    chains = maximal_chains(p)
-    antichains = maximal_antichains(p)
-    for c in chains:
-        for a in antichains:
-            if not c & a:
-                return False
-    return True
+    return _chain_antichain_rows(p.n, comparability_rows(p), p.incomp)

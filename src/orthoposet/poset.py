@@ -60,6 +60,13 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
+def _incomparability(up: Sequence[int], down: Sequence[int],
+                     n: int) -> list[int]:
+    """Rows of the incomparability relation: y != x with neither x < y nor y < x."""
+    full = (1 << n) - 1
+    return [full & ~(up[x] | down[x] | (1 << x)) for x in range(n)]
+
+
 def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
                  check: bool = True) -> Poset:
     """Build a Poset from strict-order rows, deriving all other rows.
@@ -69,12 +76,11 @@ def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
     bulk enumeration passes check=False for rows correct by construction.
     """
     n = len(up)
-    full = (1 << n) - 1
     up_t = tuple(up)
     down = _transpose(up_t, n)
     cover_up = _covers_from_up(up_t, n)
     cover_down = _transpose(cover_up, n)
-    incomp = [full & ~(up_t[x] | down[x] | (1 << x)) for x in range(n)]
+    incomp = _incomparability(up_t, down, n)
     lab = _default_labels(n) if labels is None else tuple(labels)
     p = Poset(n, up_t, tuple(down), tuple(cover_up), tuple(cover_down),
               tuple(incomp), lab)
@@ -157,22 +163,16 @@ def validate_poset(p: Poset) -> None:
                 raise ValueError(f"antisymmetry fails on ({x}, {y})")
             if p.up[y] & ~p.up[x]:
                 raise ValueError(f"transitivity fails at {x} < {y}")
-            if not p.down[y] >> x & 1:
-                raise ValueError(f"down row of {y} misses {x}")
+    if list(p.down) != _transpose(p.up, n):
+        raise ValueError("down rows are not the transpose of the up rows")
     expect_cov = _covers_from_up(p.up, n)
     if list(p.cover_up) != expect_cov:
         raise ValueError("cover_up rows disagree with the order")
+    if list(p.cover_down) != _transpose(expect_cov, n):
+        raise ValueError("cover_down rows are not the transpose of cover_up")
     for x in range(n):
-        cd = 0
-        for y in range(n):
-            if expect_cov[y] >> x & 1:
-                cd |= 1 << y
-        if p.cover_down[x] != cd:
-            raise ValueError(f"cover_down[{x}] disagrees with cover_up")
         if p.incomp[x] != full & ~(p.up[x] | p.down[x] | (1 << x)):
             raise ValueError(f"incomp[{x}] disagrees with the order")
-        if p.down[x] & ~full or p.up[x] & p.down[x]:
-            raise ValueError(f"up and down rows overlap at {x}")
     if len(p.labels) != n:
         raise ValueError(f"{len(p.labels)} labels for {n} elements")
     if len(set(p.labels)) != n:

@@ -62,6 +62,11 @@ def test_verify_theorems_fixtures():
     assert not rep.chain_antichain
     assert rep.lattice_size == 6
     assert rep.violations == ()
+    # raw witnesses: element indices for quads and pairs, masks for subsets
+    assert rep.witnesses == {
+        "n": (0, 1, 2, 3), "covering_n": (0, 1, 2, 3), "weak_n": (0, 1, 2, 3),
+        "dacey": (0b0101, 0b0001), "compatible": (1, 2),
+        "oml": (0b0001, 0b0101), "boolean": (0b0101, 0b0001, 0b1000)}
 
     rep = verify_theorems(diamond22())
     assert rep.n_free and rep.dacey and rep.oml and rep.chain_antichain
@@ -69,6 +74,7 @@ def test_verify_theorems_fixtures():
     # even though it is incompatible
     assert not rep.weak_n_free and not rep.compatible and not rep.boolean
     assert rep.violations == ()
+    assert rep.witnesses.keys() == {"weak_n", "compatible", "boolean"}
 
 
 def test_weak_n_free_incompatible_counterexample():

@@ -82,6 +82,26 @@ def test_analyze_family_cap(tmp_path, capsys):
     assert "family exceeds cap" in capsys.readouterr().err
 
 
+def test_analyze_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "binary.poset"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "utf-8" in err
+    assert "Traceback" not in err
+
+
+def test_interrupt_exits_cleanly(monkeypatch, capsys):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("orthoposet.cli._cmd_census", interrupted)
+    assert main(["census", "--max-n", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: interrupted\n"
+    assert captured.out == ""
+
+
 def test_hasse(n_file, capsys):
     assert main(["hasse", n_file]) == 0
     out = capsys.readouterr().out

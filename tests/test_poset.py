@@ -7,8 +7,8 @@ import pytest
 from orthoposet.catalog import antichain, chain, diamond22, n_poset
 from orthoposet.census import enumerate_labeled_posets, random_poset
 from orthoposet.errors import CycleError, SizeLimitError
-from orthoposet.poset import (covers, dual, from_up_rows, incomparable, leq,
-                              lt, maximal_antichains, maximal_chains,
+from orthoposet.poset import (Poset, covers, dual, from_up_rows, incomparable,
+                              leq, lt, maximal_antichains, maximal_chains,
                               poset_from_covers, validate_poset)
 
 from oracles import (brute_covers, brute_maximal_antichains,
@@ -89,6 +89,20 @@ def test_validate_catches_corruption():
     bad = dataclasses.replace(p, labels=("a", "a", "c", "d"))
     with pytest.raises(ValueError):
         validate_poset(bad)
+
+
+def test_validate_rejects_down_rows_that_are_not_the_transpose():
+    # up says 0 and 1 are incomparable, down says 1 < 0; the stored
+    # incomparability rows are consistent with both, yet asymmetric
+    bad = Poset(2, up=(0, 0), down=(0b10, 0), cover_up=(0, 0),
+                cover_down=(0, 0), incomp=(0, 0b01), labels=("0", "1"))
+    with pytest.raises(ValueError, match="transpose"):
+        validate_poset(bad)
+    p = n_poset()
+    bad = dataclasses.replace(p, cover_down=(0, 0, 0b0001, 0b0010))
+    with pytest.raises(ValueError, match="cover_down"):
+        validate_poset(bad)
+    validate_poset(p)
 
 
 def test_dual_involution_and_swap():

@@ -5,9 +5,16 @@ from pathlib import Path
 
 import jsonschema
 
+from orthoposet.bitset import subset_labels
+from orthoposet.bridges import incomparability_orthoset
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
+                                nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
-from orthoposet.census import random_poset
+from orthoposet.census import enumerate_labeled_posets, random_poset
+from orthoposet.logic import build_logic, is_boolean, is_orthomodular
+from orthoposet.npatterns import find_covering_n, find_n, find_weak_n
+from orthoposet.orthoset import (DEFAULT_MAX_ORTHO_ELEMENTS, is_compatible,
+                                 is_dacey)
 from orthoposet.report import build_report, emit_json_report
 
 SCHEMA = json.loads(
@@ -105,3 +112,50 @@ def test_timing_is_opt_in():
 def test_reports_validate_on_random_posets():
     for seed in range(15):
         validate(emit_json_report(build_report(random_poset(9, seed))))
+
+
+def standalone_witnesses(p) -> dict[str, dict]:
+    """Label-level witnesses named by the standalone public procedures."""
+    labels = p.labels
+    o = incomparability_orthoset(p)
+    cap = max(p.n, DEFAULT_MAX_ORTHO_ELEMENTS)
+    out = {}
+    for kind, finder in (("n", find_n), ("covering_n", find_covering_n),
+                         ("weak_n", find_weak_n)):
+        w = finder(p)
+        if w:
+            out[kind] = {"quad": [labels[i] for i in w.quad]}
+    _, dw = is_dacey(o, max_elements=cap)
+    if dw:
+        out["dacey"] = {"closed_set": subset_labels(dw[0], labels),
+                        "basis": subset_labels(dw[1], labels)}
+    _, pw = is_compatible(o, max_elements=cap)
+    if pw:
+        out["compatible"] = {"pair": [labels[i] for i in pw]}
+    logic = build_logic(o, max_elements=cap)
+    for kind, (_, idx) in (("oml", is_orthomodular(logic)),
+                           ("boolean", is_boolean(logic))):
+        if idx:
+            out[kind] = {k: subset_labels(logic.elements[i], labels)
+                         for k, i in zip("xyz", idx)}
+    return out
+
+
+def test_witnesses_match_the_standalone_procedures():
+    posets = [p for n in range(6) for p in enumerate_labeled_posets(n)]
+    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
+               nfree_strict_non_dacey(), chain(5), antichain(6)]
+    posets += [random_poset(n, seed) for n in range(9, 13)
+               for seed in range(6)]
+    failing = {"n_free": "n", "weak_n_free": "weak_n", "dacey": "dacey",
+               "compatible": "compatible", "oml": "oml", "boolean": "boolean"}
+    kinds = set()
+    for p in posets:
+        rep = build_report(p)
+        expect = standalone_witnesses(p)
+        assert rep.witnesses == expect, p.up
+        for name, kind in failing.items():
+            assert rep.predicates[name] == (kind not in expect), (p.up, name)
+        kinds |= expect.keys()
+    # every kind of witness is exercised
+    assert kinds == set(failing.values()) | {"covering_n"}
