@@ -21,7 +21,7 @@ def incomparability_orthoset(p: Poset) -> Orthoset:
 
 def strict_comparability_orthoset(p: Poset) -> Orthoset:
     """Orthoset with x orthogonal to y iff x < y or y < x."""
-    return Orthoset(p.n, tuple(p.up[x] | p.down[x] for x in range(p.n)))
+    return Orthoset(p.n, p.comparable)
 
 
 def ud_decomposition(p: Poset, x: int) -> tuple[int, int]:

@@ -41,11 +41,10 @@ from .errors import OrthoposetError, SizeLimitError
 from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
                     is_orthomodular)
 from .npatterns import _chain_antichain_rows, _find_quad
-from .orthoset import (DEFAULT_MAX_FAMILY, Orthoset, _closed_family,
-                       _compatible_rows, _dacey_rows, orthoset_from_pairs,
-                       perp_table)
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _covers_from_up,
-                    _incomparability, from_up_rows)
+from .orthoset import (Orthoset, _closed_family, _compatible_rows,
+                       _dacey_rows, orthoset_from_pairs, perp_table)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _comparability,
+                    _covers_from_up, _incomparability, from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
 _SHARD_PREFIX_SIZE = 4
@@ -91,22 +90,18 @@ class TheoremReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
-def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
                     ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (up, down) row tuples for every labeled poset on n elements.
 
     With a prefix (rows of a poset on k elements), yields only the posets
-    whose restriction to 0..k-1 is that prefix.
+    whose restriction to 0..k-1 is that prefix; the default, the poset on
+    no elements, is a prefix of every poset.
     """
-    if prefix is None:
-        up = [0] * n
-        dn = [0] * n
-        k0 = 0
-    else:
-        pu, pd = prefix
-        k0 = len(pu)
-        up = list(pu) + [0] * (n - k0)
-        dn = list(pd) + [0] * (n - k0)
+    pu, pd = prefix
+    k0 = len(pu)
+    up = list(pu) + [0] * (n - k0)
+    dn = list(pd) + [0] * (n - k0)
 
     def rec(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if k == n:
@@ -150,14 +145,23 @@ def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] | No
 def enumerate_labeled_posets(n: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[Poset]:
     """Every labeled poset on n elements, each exactly once, in a fixed order.
 
-    Raises SizeLimitError when n exceeds cap; pass a larger cap knowingly
-    (the count grows superexponentially: 130023 at n=6, 6129859 at n=7).
+    Raises OrthoposetError if n is negative and SizeLimitError when n
+    exceeds cap; pass a larger cap knowingly (the count grows
+    superexponentially: 130023 at n=6, 6129859 at n=7).
     """
+    if n < 0:
+        raise OrthoposetError(f"poset size must be non-negative, got {n}")
     if n > cap:
         raise SizeLimitError(
             f"enumerating posets on {n} elements exceeds cap {cap}")
     for up, _dn in _enumerate_rows(n):
         yield from_up_rows(up, check=False)
+
+
+def _check_edge_prob(edge_prob: float) -> None:
+    if not 0 <= edge_prob <= 1:  # also rejects NaN
+        raise OrthoposetError(
+            f"edge probability must be in [0, 1], got {edge_prob}")
 
 
 def random_poset(n: int, seed: int, edge_prob: float = 0.5,
@@ -168,13 +172,14 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5,
     random.Random(seed).sample, then for each position pair i < j in
     row-major order keep the edge perm[i] < perm[j] with probability
     edge_prob (one rng.random() call per pair, in that order), and close
-    transitively.  Raises OrthoposetError if n is negative and
-    SizeLimitError if it exceeds max_elements.
+    transitively.  Raises OrthoposetError if n is negative or edge_prob is
+    outside [0, 1], and SizeLimitError if n exceeds max_elements.
     """
     if n < 0:
         raise OrthoposetError(f"poset size must be non-negative, got {n}")
     if n > max_elements:
         raise SizeLimitError(f"poset has {n} elements, cap is {max_elements}")
+    _check_edge_prob(edge_prob)
     rng = random.Random(seed)
     perm = rng.sample(range(n), n)
     succ = [0] * n
@@ -182,22 +187,18 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5,
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 succ[perm[i]] |= 1 << perm[j]
-    up = [0] * n
-    for i in reversed(range(n)):
-        v = perm[i]
-        acc = 0
-        for w in bits(succ[v]):
-            acc |= (1 << w) | up[w]
-        up[v] = acc
-    return from_up_rows(up, check=False)
+    # perm lists the elements in an order every edge ascends
+    return from_up_rows(_closure(succ, perm), check=False)
 
 
 def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
     """Seeded random orthoset: each pair i < j orthogonal with edge_prob.
 
     Pairs are drawn in row-major order with random.Random(seed), one
-    rng.random() call per pair.
+    rng.random() call per pair.  Raises OrthoposetError if edge_prob is
+    outside [0, 1].
     """
+    _check_edge_prob(edge_prob)
     rng = random.Random(seed)
     pairs = []
     for i in range(n):
@@ -207,8 +208,8 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
     return orthoset_from_pairs(n, pairs)
 
 
-def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
-              cover_up: Sequence[int], incomp: Sequence[int],
+def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
+              comparable: Sequence[int], incomp: Sequence[int],
               max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """The one decision pass: all seven predicates, the equivalence checks
     and the witness of every failing predicate, on raw relation rows."""
@@ -218,11 +219,11 @@ def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
                                  incomp),
         "weak_n": _find_quad(n, up, up, [(1 << n) - 1] * n, cover_up, incomp),
     }
-    family = _closed_family(incomp, n, DEFAULT_MAX_FAMILY)
+    family = _closed_family(incomp, n)
     table = perp_table(incomp, n)
-    _, found["dacey"] = _dacey_rows(incomp, n, family=family, table=table)
+    _, found["dacey"] = _dacey_rows(incomp, n, family, table)
     _, found["compatible"] = _compatible_rows(incomp, n, table)
-    logic = _logic_from_family(incomp, n, family, max_lattice, table)
+    logic = _logic_from_family(incomp, n, family, table, max_lattice)
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):
@@ -233,8 +234,7 @@ def _pipeline(n: int, up: Sequence[int], down: Sequence[int],
     n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
         kind not in witnesses for kind in
         ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
-    chain_antichain = _chain_antichain_rows(
-        n, [up[x] | down[x] for x in range(n)], incomp)
+    chain_antichain = _chain_antichain_rows(n, comparable, incomp)
 
     violations = []
     for name, lhs, rhs in (
@@ -261,23 +261,23 @@ def verify_theorems(p: Poset,
                     max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """Decide all predicates for one poset, cross-check the equivalences and
     name the witness of every failing predicate, in one pass."""
-    return _pipeline(p.n, p.up, p.down, p.cover_up, p.incomp, max_lattice)
+    return _pipeline(p.n, p.up, p.cover_up, p.comparable, p.incomp,
+                     max_lattice)
 
 
-def _census_shard(args: tuple[int, list | None]) -> tuple[int, list[int], list[str]]:
-    """Tally one stream of posets; args is (n, prefixes or None).
-
-    With prefixes, only the posets extending one of them are tallied.
-    """
+def _census_shard(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
+    """Tally one stream of posets; args is (n, prefixes), and only the
+    posets extending one of the prefixes are tallied."""
     n, prefixes = args
     total = 0
     counts = [0] * 7
     violations: list[str] = []
-    for prefix in [None] if prefixes is None else prefixes:
+    for prefix in prefixes:
         for up, dn in _enumerate_rows(n, prefix):
             total += 1
-            rep = _pipeline(n, up, dn, _covers_from_up(up, n),
-                            _incomparability(up, dn, n))
+            comp = _comparability(up, dn)
+            rep = _pipeline(n, up, _covers_from_up(up, n), comp,
+                            _incomparability(comp, n))
             for i, name in enumerate(_PREDICATES):
                 counts[i] += getattr(rep, name)
             for v in rep.violations:
@@ -292,24 +292,23 @@ def census_run(max_n: int, workers: int = 1,
     Work is split by the poset on the first few elements (the top-left block
     of the relation matrix); restriction compatibility of the enumeration
     makes the shards an exact partition, and summaries merge by addition
-    with violations sorted.
+    with violations sorted.  The pool never has more processes than shards.
     """
     if max_n > cap:
         raise SizeLimitError(f"census to n={max_n} exceeds cap {cap}")
     out = []
     for n in range(1, max_n + 1):
-        if n <= _SHARD_PREFIX_SIZE or workers <= 1:
-            shards = [(n, None)]
-        else:
-            prefixes = list(_enumerate_rows(_SHARD_PREFIX_SIZE))
-            step = max(1, -(-len(prefixes) // workers))
-            shards = [(n, prefixes[i:i + step])
-                      for i in range(0, len(prefixes), step)]
+        # one shard extending the empty poset, or one per block of prefixes
+        k = 0 if n <= _SHARD_PREFIX_SIZE or workers <= 1 else _SHARD_PREFIX_SIZE
+        prefixes = list(_enumerate_rows(k))
+        step = -(-len(prefixes) // max(workers, 1))
+        shards = [(n, prefixes[i:i + step])
+                  for i in range(0, len(prefixes), step)]
         if len(shards) == 1:
             results = [_census_shard(shards[0])]
         else:
             # workers ignore Ctrl-C; the parent stops them on its way out
-            with Pool(workers, initializer=signal.signal,
+            with Pool(min(workers, len(shards)), initializer=signal.signal,
                       initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 results = pool.map(_census_shard, shards)
         total = sum(r[0] for r in results)
@@ -319,14 +318,14 @@ def census_run(max_n: int, workers: int = 1,
     return out
 
 
-def _pred_strict_dacey(n, up, dn, cov, incomp) -> bool:
-    ok, _ = _dacey_rows([up[x] | dn[x] for x in range(n)], n)
+def _pred_strict_dacey(n, up, cov, comp, incomp) -> bool:
+    ok, _ = _dacey_rows(comp, n, _closed_family(comp, n), perp_table(comp, n))
     return ok
 
 
-def _pred_nfree_strict_not_dacey(n, up, dn, cov, incomp) -> bool:
+def _pred_nfree_strict_not_dacey(n, up, cov, comp, incomp) -> bool:
     return (_find_quad(n, up, up, incomp, cov, incomp) is None
-            and not _pred_strict_dacey(n, up, dn, cov, incomp))
+            and not _pred_strict_dacey(n, up, cov, comp, incomp))
 
 
 _SEARCH_PREDICATES = {
@@ -355,7 +354,8 @@ def search_counterexample(predicate: str, max_n: int,
         raise SizeLimitError(f"search to n={max_n} exceeds cap {cap}")
     for n in range(1, max_n + 1):
         for up, dn in _enumerate_rows(n):
-            if pred(n, up, dn, _covers_from_up(up, n),
-                    _incomparability(up, dn, n)):
+            comp = _comparability(up, dn)
+            if pred(n, up, _covers_from_up(up, n), comp,
+                    _incomparability(comp, n)):
                 return from_up_rows(up)
     return None

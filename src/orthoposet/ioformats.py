@@ -14,7 +14,8 @@ from __future__ import annotations
 from .bitset import bits, format_subset
 from .errors import PosetSyntaxError, UnknownElementError
 from .logic import Logic
-from .poset import DEFAULT_MAX_ELEMENTS, Poset, poset_from_covers
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _covers_from_up,
+                    poset_from_covers)
 
 
 def parse_poset_file(text: str,
@@ -84,17 +85,6 @@ def emit_dot_hasse(p: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lattice_cover_rows(l: Logic) -> list[int]:
-    cov = []
-    for i in range(l.m):
-        strict = l.leq[i] & ~(1 << i)
-        rem = strict
-        for k in bits(strict):
-            rem &= ~(l.leq[k] & ~(1 << k))
-        cov.append(rem)
-    return cov
-
-
 def emit_dot_lattice(l: Logic, labels: tuple[str, ...]) -> str:
     """Cover graph of the logic as DOT; nodes are the orthoclosed sets."""
     def node(i: int) -> str:
@@ -103,7 +93,7 @@ def emit_dot_lattice(l: Logic, labels: tuple[str, ...]) -> str:
     lines = ["digraph logic {", "  rankdir=BT;"]
     for i in range(l.m):
         lines.append(f"  {node(i)};")
-    cov = _lattice_cover_rows(l)
+    cov = _covers_from_up([l.leq[i] & ~(1 << i) for i in range(l.m)], l.m)
     for i in range(l.m):
         for j in bits(cov[i]):
             lines.append(f"  {node(i)} -> {node(j)};")

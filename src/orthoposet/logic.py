@@ -15,8 +15,8 @@ from operator import itemgetter
 
 from .bitset import bits
 from .errors import SizeLimitError
-from .orthoset import (DEFAULT_MAX_FAMILY, DEFAULT_MAX_ORTHO_ELEMENTS,
-                       Orthoset, enumerate_orthoclosed, perp_table)
+from .orthoset import (DEFAULT_MAX_ORTHO_ELEMENTS, Orthoset,
+                       enumerate_orthoclosed, perp_table)
 
 DEFAULT_MAX_LATTICE = 4096
 
@@ -48,7 +48,6 @@ def build_logic(
     o: Orthoset,
     max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
     max_lattice: int = DEFAULT_MAX_LATTICE,
-    max_family: int = DEFAULT_MAX_FAMILY,
 ) -> Logic:
     """Tabulate the logic of o.
 
@@ -58,18 +57,18 @@ def build_logic(
     must agree; all of this is asserted during construction.  Raises
     SizeLimitError when the family is larger than max_lattice.
     """
-    elements = enumerate_orthoclosed(o, max_elements, max_family)
-    return _logic_from_family(o.adj, o.n, elements, max_lattice)
+    elements = enumerate_orthoclosed(o, max_elements)
+    return _logic_from_family(o.adj, o.n, elements, perp_table(o.adj, o.n),
+                              max_lattice)
 
 
 def _logic_from_family(adj, n: int, elements: list[int],
-                       max_lattice: int = DEFAULT_MAX_LATTICE,
-                       table: tuple[list[int], list[int]] | None = None,
-                       ) -> Logic:
+                       table: tuple[list[int], list[int]],
+                       max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     m = len(elements)
     if m > max_lattice:
         raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
-    lo, hi = perp_table(adj, n) if table is None else table
+    lo, hi = table
     h = n // 2
     lm = (1 << h) - 1
     index = {e: i for i, e in enumerate(elements)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .bitset import maximal_cliques
-from .poset import Poset, comparability_rows
+from .poset import Poset
 
 NKind = Literal["n", "covering_n", "weak_n"]
 
@@ -104,4 +104,4 @@ def chain_antichain_property(p: Poset) -> bool:
     Chains and antichains are nonempty subsets, so the empty poset satisfies
     this vacuously.
     """
-    return _chain_antichain_rows(p.n, comparability_rows(p), p.incomp)
+    return _chain_antichain_rows(p.n, p.comparable, p.incomp)

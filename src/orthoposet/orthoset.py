@@ -107,7 +107,7 @@ def is_orthoclosed(o: Orthoset, x: int) -> bool:
     return double_perp(o, x) == x
 
 
-def _closed_family(adj: Sequence[int], n: int, max_family: int) -> list[int]:
+def _closed_family(adj: Sequence[int], n: int) -> list[int]:
     # every orthoclosed set is an intersection of point perps (empty
     # intersection giving the full set), so close {full} under x -> x & adj[i]
     full = (1 << n) - 1
@@ -118,9 +118,9 @@ def _closed_family(adj: Sequence[int], n: int, max_family: int) -> list[int]:
         for row in adj:
             t = s & row
             if t not in seen:
-                if len(seen) >= max_family:
+                if len(seen) >= DEFAULT_MAX_FAMILY:
                     raise SizeLimitError(
-                        f"orthoclosed family exceeds cap {max_family}")
+                        f"orthoclosed family exceeds cap {DEFAULT_MAX_FAMILY}")
                 seen.add(t)
                 stack.append(t)
     return sorted(seen)
@@ -129,19 +129,18 @@ def _closed_family(adj: Sequence[int], n: int, max_family: int) -> list[int]:
 def enumerate_orthoclosed(
     o: Orthoset,
     max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-    max_family: int = DEFAULT_MAX_FAMILY,
 ) -> list[int]:
     """All orthoclosed subsets, sorted ascending by mask value.
 
     Intersections of point perps are closed under intersection and contain
     every orthoclosed set, so the family is built by a worklist closure
     instead of filtering all 2**n subsets.  Raises SizeLimitError when n
-    exceeds max_elements or the family would exceed max_family.
+    exceeds max_elements or the family would exceed DEFAULT_MAX_FAMILY.
     """
     if o.n > max_elements:
         raise SizeLimitError(
             f"orthoset has {o.n} elements, cap is {max_elements}")
-    return _closed_family(o.adj, o.n, max_family)
+    return _closed_family(o.adj, o.n)
 
 
 def bases(o: Orthoset, x: int) -> list[int]:
@@ -182,14 +181,10 @@ def is_dacey_subset(o: Orthoset, x: int) -> bool:
     return all(not perp(o, b) & ~px for b in bases(o, x))
 
 
-def _dacey_rows(adj: Sequence[int], n: int,
-                max_family: int = DEFAULT_MAX_FAMILY,
-                family: Sequence[int] | None = None,
-                table: tuple[list[int], list[int]] | None = None,
+def _dacey_rows(adj: Sequence[int], n: int, family: Sequence[int],
+                table: tuple[list[int], list[int]],
                 ) -> tuple[bool, tuple[int, int] | None]:
-    if family is None:
-        family = _closed_family(adj, n, max_family)
-    lo, hi = perp_table(adj, n) if table is None else table
+    lo, hi = table
     h = n // 2
     lm = (1 << h) - 1
     for x in family:
@@ -205,23 +200,20 @@ def _dacey_rows(adj: Sequence[int], n: int,
 def is_dacey(
     o: Orthoset,
     max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-    max_family: int = DEFAULT_MAX_FAMILY,
 ) -> tuple[bool, tuple[int, int] | None]:
     """Decide the Dacey property; witness is the first failing (x, basis) pair.
 
     Scans orthoclosed sets ascending by mask, bases ascending within each.
-    Raises SizeLimitError past the caps; pass larger ones to override.
+    Raises SizeLimitError past the caps.
     """
-    if o.n > max_elements:
-        raise SizeLimitError(
-            f"orthoset has {o.n} elements, cap is {max_elements}")
-    return _dacey_rows(o.adj, o.n, max_family)
+    return _dacey_rows(o.adj, o.n, enumerate_orthoclosed(o, max_elements),
+                       perp_table(o.adj, o.n))
 
 
 def _compatible_rows(adj: Sequence[int], n: int,
-                     table: tuple[list[int], list[int]] | None = None,
+                     table: tuple[list[int], list[int]],
                      ) -> tuple[bool, tuple[int, int] | None]:
-    lo, hi = perp_table(adj, n) if table is None else table
+    lo, hi = table
     h = n // 2
     lm = (1 << h) - 1
     # closure of {x} is the perp of adj[x]
@@ -256,7 +248,7 @@ def is_compatible(
     if o.n > max_elements:
         raise SizeLimitError(
             f"orthoset has {o.n} elements, cap is {max_elements}")
-    return _compatible_rows(o.adj, o.n)
+    return _compatible_rows(o.adj, o.n, perp_table(o.adj, o.n))
 
 
 def orthocomplement_pair_check(o: Orthoset, x: int, y: int) -> bool:

@@ -1,15 +1,17 @@
 """Finite posets on elements 0..n-1 with bitmask relation rows.
 
-The strict order is stored as row masks: up[x] is the set {y : x < y} and
-down[x] the set {y : y < x}.  Cover rows and incomparability rows are
-precomputed once at construction; every decision procedure in the package
-works on these masks.
+A poset stores only its strict order, as row masks: up[x] is the set
+{y : x < y}.  Every other relation (down, covers, comparability,
+incomparability) is derived from up on first use by one helper below;
+every decision procedure in the package works on these masks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from operator import or_
 
 from .bitset import bits, maximal_cliques
 from .errors import CycleError, OrthoposetError, SizeLimitError
@@ -21,17 +23,41 @@ DEFAULT_MAX_ELEMENTS = 24
 class Poset:
     """Immutable poset; construct via poset_from_covers or from_up_rows."""
 
-    n: int
     up: tuple[int, ...]          # up[x] = {y : x < y}
-    down: tuple[int, ...]        # down[x] = {y : y < x}
-    cover_up: tuple[int, ...]    # cover_up[x] = {y : y covers x}
-    cover_down: tuple[int, ...]  # cover_down[x] = {y : x covers y}
-    incomp: tuple[int, ...]      # incomp[x] = {y != x : neither x < y nor y < x}
     labels: tuple[str, ...]
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.up)
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """down[x] = {y : y < x}."""
+        return tuple(_transpose(self.up, self.n))
+
+    @cached_property
+    def cover_up(self) -> tuple[int, ...]:
+        """cover_up[x] = {y : y covers x}."""
+        return tuple(_covers_from_up(self.up, self.n))
+
+    @cached_property
+    def cover_down(self) -> tuple[int, ...]:
+        """cover_down[x] = {y : x covers y}."""
+        return tuple(_transpose(self.cover_up, self.n))
+
+    @cached_property
+    def comparable(self) -> tuple[int, ...]:
+        """comparable[x] = {y : x < y or y < x}."""
+        return tuple(_comparability(self.up, self.down))
+
+    @cached_property
+    def incomp(self) -> tuple[int, ...]:
+        """incomp[x] = {y != x : neither x < y nor y < x}."""
+        return tuple(_incomparability(self.comparable, self.n))
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -60,30 +86,39 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _incomparability(up: Sequence[int], down: Sequence[int],
-                     n: int) -> list[int]:
-    """Rows of the incomparability relation: y != x with neither x < y nor y < x."""
+def _comparability(up: Sequence[int], down: Sequence[int]) -> list[int]:
+    """Rows of the comparability relation: x < y or y < x."""
+    return list(map(or_, up, down))
+
+
+def _incomparability(comparable: Sequence[int], n: int) -> list[int]:
+    """Rows of the incomparability relation: y != x and not comparable to x."""
     full = (1 << n) - 1
-    return [full & ~(up[x] | down[x] | (1 << x)) for x in range(n)]
+    return [full & ~(c | 1 << x) for x, c in enumerate(comparable)]
+
+
+def _closure(succ: Sequence[int], topo: Sequence[int]) -> list[int]:
+    """Strict order generated by the edge rows succ, given a topological
+    order of its elements: up[v] is everything reachable from v."""
+    up = [0] * len(succ)
+    for v in reversed(topo):
+        acc = 0
+        for w in bits(succ[v]):
+            acc |= (1 << w) | up[w]
+        up[v] = acc
+    return up
 
 
 def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
                  check: bool = True) -> Poset:
-    """Build a Poset from strict-order rows, deriving all other rows.
+    """Build a Poset from strict-order rows.
 
     The rows must already describe a strict partial order (irreflexive,
     antisymmetric, transitive); validate_poset checks exactly that.  Internal
     bulk enumeration passes check=False for rows correct by construction.
     """
-    n = len(up)
-    up_t = tuple(up)
-    down = _transpose(up_t, n)
-    cover_up = _covers_from_up(up_t, n)
-    cover_down = _transpose(cover_up, n)
-    incomp = _incomparability(up_t, down, n)
-    lab = _default_labels(n) if labels is None else tuple(labels)
-    p = Poset(n, up_t, tuple(down), tuple(cover_up), tuple(cover_down),
-              tuple(incomp), lab)
+    p = Poset(tuple(up),
+              _default_labels(len(up)) if labels is None else tuple(labels))
     if check:
         validate_poset(p)
     return p
@@ -135,27 +170,17 @@ def poset_from_covers(
         stuck = sorted(set(range(n)) - set(topo))
         raise CycleError(f"cover relation has a cycle through elements {stuck}")
 
-    up = [0] * n
-    for v in reversed(topo):
-        acc = 0
-        for w in bits(succ[v]):
-            acc |= (1 << w) | up[w]
-        up[v] = acc
-    return from_up_rows(up, labels)
+    return from_up_rows(_closure(succ, topo), labels)
 
 
 def validate_poset(p: Poset) -> None:
-    """Check every structural invariant; raises ValueError on the first failure."""
+    """Check the order axioms on up and the labels; raises ValueError on the
+    first failure.  Every other row is derived from up, so cannot disagree."""
     n = p.n
     full = (1 << n) - 1
-    for name in ("up", "down", "cover_up", "cover_down", "incomp"):
-        rows = getattr(p, name)
-        if len(rows) != n:
-            raise ValueError(f"{name} has {len(rows)} rows, expected {n}")
-        for x, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"{name}[{x}] has bits outside 0..{n - 1}")
     for x in range(n):
+        if p.up[x] & ~full:
+            raise ValueError(f"up[{x}] has bits outside 0..{n - 1}")
         if p.up[x] >> x & 1:
             raise ValueError(f"order is reflexive at {x}")
         for y in bits(p.up[x]):
@@ -163,16 +188,6 @@ def validate_poset(p: Poset) -> None:
                 raise ValueError(f"antisymmetry fails on ({x}, {y})")
             if p.up[y] & ~p.up[x]:
                 raise ValueError(f"transitivity fails at {x} < {y}")
-    if list(p.down) != _transpose(p.up, n):
-        raise ValueError("down rows are not the transpose of the up rows")
-    expect_cov = _covers_from_up(p.up, n)
-    if list(p.cover_up) != expect_cov:
-        raise ValueError("cover_up rows disagree with the order")
-    if list(p.cover_down) != _transpose(expect_cov, n):
-        raise ValueError("cover_down rows are not the transpose of cover_up")
-    for x in range(n):
-        if p.incomp[x] != full & ~(p.up[x] | p.down[x] | (1 << x)):
-            raise ValueError(f"incomp[{x}] disagrees with the order")
     if len(p.labels) != n:
         raise ValueError(f"{len(p.labels)} labels for {n} elements")
     if len(set(p.labels)) != n:
@@ -212,13 +227,7 @@ def covers(p: Poset, x: int, y: int) -> bool:
 
 def dual(p: Poset) -> Poset:
     """Order-reversed poset on the same elements and labels."""
-    return replace(p, up=p.down, down=p.up,
-                   cover_up=p.cover_down, cover_down=p.cover_up)
-
-
-def comparability_rows(p: Poset) -> list[int]:
-    """Adjacency of the comparability graph: x ~ y iff x < y or y < x."""
-    return [p.up[x] | p.down[x] for x in range(p.n)]
+    return Poset(p.down, p.labels)
 
 
 def maximal_chains(p: Poset) -> list[int]:
@@ -229,7 +238,7 @@ def maximal_chains(p: Poset) -> list[int]:
     """
     if p.n == 0:
         return []
-    return maximal_cliques(comparability_rows(p), p.full)
+    return maximal_cliques(p.comparable, p.full)
 
 
 def maximal_antichains(p: Poset) -> list[int]:

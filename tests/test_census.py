@@ -10,7 +10,8 @@ from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
 from orthoposet.census import (census_run, enumerate_labeled_posets,
                                random_orthoset, random_poset,
                                search_counterexample, verify_theorems)
-from orthoposet.errors import SizeLimitError
+from orthoposet import census
+from orthoposet.errors import OrthoposetError, SizeLimitError
 from orthoposet.npatterns import find_weak_n
 from orthoposet.orthoset import is_compatible, validate_orthoset
 from orthoposet.poset import from_up_rows, validate_poset
@@ -46,6 +47,12 @@ def test_enumeration_cap():
         list(enumerate_labeled_posets(7))
 
 
+def test_enumeration_rejects_negative_size():
+    with pytest.raises(OrthoposetError,
+                       match="poset size must be non-negative, got -1"):
+        list(enumerate_labeled_posets(-1))
+
+
 def test_random_generators_are_seeded():
     assert random_poset(8, 4).up == random_poset(8, 4).up
     assert random_poset(8, 4).up != random_poset(8, 5).up
@@ -53,6 +60,17 @@ def test_random_generators_are_seeded():
     for seed in range(30):
         validate_poset(from_up_rows(random_poset(9, seed).up))
         validate_orthoset(random_orthoset(9, seed))
+
+
+@pytest.mark.parametrize("edge_prob", [-1, 1.5, 2, float("nan")])
+def test_random_generators_reject_bad_edge_prob(edge_prob):
+    with pytest.raises(OrthoposetError, match="edge probability"):
+        random_poset(4, 0, edge_prob)
+    with pytest.raises(OrthoposetError, match="edge probability"):
+        random_orthoset(4, 0, edge_prob)
+    # both bounds are accepted: no edges, or a total order
+    assert random_poset(4, 0, 0).up == (0, 0, 0, 0)
+    assert sum(row.bit_count() for row in random_poset(4, 0, 1).up) == 6
 
 
 def test_verify_theorems_fixtures():
@@ -131,6 +149,31 @@ def test_census_worker_invariance():
     duo = census_run(5, workers=2)
     trio = census_run(5, workers=3)
     assert single == duo == trio
+
+
+def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
+    # a stand-in Pool that records its size and maps serially, so a huge
+    # worker count starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes, **kwargs):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    expect = census_run(5)
+    monkeypatch.setattr(census, "Pool", SerialPool)
+    assert census_run(5, workers=1000) == expect
+    # only n=5 is sharded, one shard per prefix poset on four elements
+    assert sizes == [219]
 
 
 def test_search_finds_dacey_immediately():

@@ -180,6 +180,15 @@ def test_generate_rejects_negative_n(capsys):
     assert "cycle" not in err
 
 
+@pytest.mark.parametrize("edge_prob", ["2", "-1"])
+def test_generate_rejects_edge_prob_outside_unit_interval(edge_prob, capsys):
+    assert main(["generate", "--kind", "random", "--n", "4",
+                 "--edge-prob", edge_prob]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "edge probability" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_generate_random_is_seeded(capsys):
     assert main(["generate", "--kind", "random", "--n", "6",
                  "--seed", "9"]) == 0

@@ -12,7 +12,7 @@ from orthoposet.census import _enumerate_rows, random_orthoset
 from orthoposet.errors import SizeLimitError
 from orthoposet.logic import (_logic_from_family, build_logic, is_boolean,
                               is_orthomodular, verify_ortholattice)
-from orthoposet.orthoset import Orthoset
+from orthoposet.orthoset import Orthoset, perp_table
 
 from oracles import brute_distributivity_witness, incomparability_adj
 
@@ -149,4 +149,5 @@ def test_logic_rejects_family_not_closed_under_meet():
     # orthocomplement check passes and their meet {1} is the first failure
     with pytest.raises(AssertionError,
                        match=r"meet of elements 1, 2 is not orthoclosed"):
-        _logic_from_family((0, 0, 0), 3, [0b000, 0b011, 0b110, 0b111])
+        _logic_from_family((0, 0, 0), 3, [0b000, 0b011, 0b110, 0b111],
+                           perp_table((0, 0, 0), 3))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from orthoposet import orthoset
 from orthoposet.catalog import path_orthoset
 from orthoposet.census import random_orthoset
 from orthoposet.errors import NotOrthoclosedError, SizeLimitError
@@ -83,7 +84,7 @@ def test_not_orthoclosed_raises():
         dacey_subset_checks(o, 0b0001)
 
 
-def test_size_caps():
+def test_size_caps(monkeypatch):
     big = orthoset_from_pairs(21, [])
     with pytest.raises(SizeLimitError):
         enumerate_orthoclosed(big)
@@ -92,8 +93,9 @@ def test_size_caps():
     with pytest.raises(SizeLimitError):
         is_compatible(big)
     assert enumerate_orthoclosed(big, max_elements=21) == [0, big.full]
-    with pytest.raises(SizeLimitError):
-        enumerate_orthoclosed(random_orthoset(16, 1), max_family=8)
+    monkeypatch.setattr(orthoset, "DEFAULT_MAX_FAMILY", 8)
+    with pytest.raises(SizeLimitError, match="exceeds cap 8"):
+        enumerate_orthoclosed(random_orthoset(16, 1))
 
 
 def test_closed_family_against_filter():
