@@ -16,12 +16,12 @@ from .poset import Poset
 
 def incomparability_orthoset(p: Poset) -> Orthoset:
     """Orthoset on the same elements with x orthogonal to y iff incomparable."""
-    return Orthoset(p.n, p.incomp)
+    return Orthoset(p.incomp)
 
 
 def strict_comparability_orthoset(p: Poset) -> Orthoset:
     """Orthoset with x orthogonal to y iff x < y or y < x."""
-    return Orthoset(p.n, p.comparable)
+    return Orthoset(p.comparable)
 
 
 def ud_decomposition(p: Poset, x: int) -> tuple[int, int]:

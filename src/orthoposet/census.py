@@ -30,6 +30,7 @@ identical.
 
 from __future__ import annotations
 
+import os
 import random
 import signal
 from collections.abc import Iterator, Sequence
@@ -187,8 +188,7 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5,
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 succ[perm[i]] |= 1 << perm[j]
-    # perm lists the elements in an order every edge ascends
-    return from_up_rows(_closure(succ, perm), check=False)
+    return from_up_rows(_closure(succ), check=False)
 
 
 def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
@@ -196,16 +196,14 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
 
     Pairs are drawn in row-major order with random.Random(seed), one
     rng.random() call per pair.  Raises OrthoposetError if edge_prob is
-    outside [0, 1].
+    outside [0, 1], and the size errors of orthoset_from_pairs.
     """
     _check_edge_prob(edge_prob)
     rng = random.Random(seed)
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                pairs.append((i, j))
-    return orthoset_from_pairs(n, pairs)
+    # lazy, so orthoset_from_pairs checks n before any pair is drawn
+    return orthoset_from_pairs(n, ((i, j) for i in range(n)
+                                   for j in range(i + 1, n)
+                                   if rng.random() < edge_prob))
 
 
 def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
@@ -292,23 +290,28 @@ def census_run(max_n: int, workers: int = 1,
     Work is split by the poset on the first few elements (the top-left block
     of the relation matrix); restriction compatibility of the enumeration
     makes the shards an exact partition, and summaries merge by addition
-    with violations sorted.  The pool never has more processes than shards.
+    with violations sorted.  The pool never has more processes than shards
+    or CPUs.  Raises SizeLimitError when max_n exceeds cap and
+    OrthoposetError when workers is below 1.
     """
     if max_n > cap:
         raise SizeLimitError(f"census to n={max_n} exceeds cap {cap}")
+    if workers < 1:
+        raise OrthoposetError(f"worker count must be at least 1, got {workers}")
     out = []
     for n in range(1, max_n + 1):
         # one shard extending the empty poset, or one per block of prefixes
         k = 0 if n <= _SHARD_PREFIX_SIZE or workers <= 1 else _SHARD_PREFIX_SIZE
         prefixes = list(_enumerate_rows(k))
-        step = -(-len(prefixes) // max(workers, 1))
+        step = -(-len(prefixes) // workers)
         shards = [(n, prefixes[i:i + step])
                   for i in range(0, len(prefixes), step)]
         if len(shards) == 1:
             results = [_census_shard(shards[0])]
         else:
             # workers ignore Ctrl-C; the parent stops them on its way out
-            with Pool(min(workers, len(shards)), initializer=signal.signal,
+            with Pool(min(workers, len(shards), os.cpu_count() or 1),
+                      initializer=signal.signal,
                       initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
                 results = pool.map(_census_shard, shards)
         total = sum(r[0] for r in results)

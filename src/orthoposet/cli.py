@@ -20,7 +20,6 @@ from .errors import OrthoposetError
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
                         serialize_poset_file)
 from .logic import DEFAULT_MAX_LATTICE, build_logic
-from .orthoset import DEFAULT_MAX_ORTHO_ELEMENTS
 from .poset import DEFAULT_MAX_ELEMENTS
 from .report import build_report, emit_json_report
 from .bitset import subset_labels
@@ -43,7 +42,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_logic(args: argparse.Namespace) -> int:
     p = parse_poset_file(_read_source(args.file), args.max_elements)
     logic = build_logic(incomparability_orthoset(p),
-                        max_elements=max(p.n, DEFAULT_MAX_ORTHO_ELEMENTS),
                         max_lattice=args.max_lattice)
     if args.format == "dot":
         sys.stdout.write(emit_dot_lattice(logic, p.labels))
@@ -61,8 +59,7 @@ def _cmd_logic(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    summaries = census_run(args.max_n, workers=args.workers,
-                           cap=max(args.max_n, 6))
+    summaries = census_run(args.max_n, workers=args.workers)
     sys.stdout.write(json.dumps([asdict(s) for s in summaries],
                                 sort_keys=True, indent=2) + "\n")
     if any(s.violations for s in summaries):
@@ -72,8 +69,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    found = search_counterexample(args.predicate, args.max_n,
-                                  cap=max(args.max_n, 7))
+    found = search_counterexample(args.predicate, args.max_n)
     if found is None:
         print(f"no poset up to n={args.max_n} satisfies {args.predicate}",
               file=sys.stderr)

@@ -15,8 +15,7 @@ from operator import itemgetter
 
 from .bitset import bits
 from .errors import SizeLimitError
-from .orthoset import (DEFAULT_MAX_ORTHO_ELEMENTS, Orthoset,
-                       enumerate_orthoclosed, perp_table)
+from .orthoset import Orthoset, enumerate_orthoclosed
 
 DEFAULT_MAX_LATTICE = 4096
 
@@ -44,11 +43,7 @@ class Logic:
         return len(self.elements) - 1
 
 
-def build_logic(
-    o: Orthoset,
-    max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-    max_lattice: int = DEFAULT_MAX_LATTICE,
-) -> Logic:
+def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     """Tabulate the logic of o.
 
     Meets (intersections of closed sets are closed), joins and
@@ -57,8 +52,7 @@ def build_logic(
     must agree; all of this is asserted during construction.  Raises
     SizeLimitError when the family is larger than max_lattice.
     """
-    elements = enumerate_orthoclosed(o, max_elements)
-    return _logic_from_family(o.adj, o.n, elements, perp_table(o.adj, o.n),
+    return _logic_from_family(o.adj, o.n, enumerate_orthoclosed(o), o.table,
                               max_lattice)
 
 

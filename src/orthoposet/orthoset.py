@@ -11,32 +11,51 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bitset import bits, is_clique, maximal_cliques
-from .errors import NotOrthoclosedError, SizeLimitError
+from .errors import NotOrthoclosedError, OrthoposetError, SizeLimitError
+from .poset import DEFAULT_MAX_ELEMENTS
 
-DEFAULT_MAX_ORTHO_ELEMENTS = 20
 DEFAULT_MAX_FAMILY = 1 << 20
 
 
 @dataclass(frozen=True)
 class Orthoset:
-    """Immutable orthoset; adj[x] is the mask of elements orthogonal to x."""
+    """Immutable orthoset; adj[x] is the mask of elements orthogonal to x.
 
-    n: int
+    Only adj is stored; n and the perp table are derived from it on first
+    use.
+    """
+
     adj: tuple[int, ...]
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.adj)
 
     @property
     def full(self) -> int:
         return (1 << self.n) - 1
 
+    @cached_property
+    def table(self) -> tuple[list[int], list[int]]:
+        """perp_table(adj, n): every perp of this orthoset by two lookups."""
+        return perp_table(self.adj, self.n)
+
 
 def orthoset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Orthoset:
     """Orthoset with x orthogonal to y for each listed pair, symmetrized.
 
-    Raises IndexError on an out-of-range element and ValueError on a
-    reflexive pair.
+    Raises OrthoposetError if n is negative, SizeLimitError if n exceeds
+    poset.DEFAULT_MAX_ELEMENTS, IndexError on an out-of-range element and
+    ValueError on a reflexive pair.
     """
+    if n < 0:
+        raise OrthoposetError(f"orthoset size must be non-negative, got {n}")
+    if n > DEFAULT_MAX_ELEMENTS:
+        raise SizeLimitError(
+            f"orthoset has {n} elements, cap is {DEFAULT_MAX_ELEMENTS}")
     adj = [0] * n
     for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
@@ -45,14 +64,12 @@ def orthoset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Orthoset:
             raise ValueError(f"orthogonality is irreflexive, got ({a}, {a})")
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return Orthoset(n, tuple(adj))
+    return Orthoset(tuple(adj))
 
 
 def validate_orthoset(o: Orthoset) -> None:
     """Check irreflexivity and symmetry; raises ValueError on failure."""
-    if len(o.adj) != o.n:
-        raise ValueError(f"{len(o.adj)} adjacency rows for n={o.n}")
-    full = (1 << o.n) - 1
+    full = o.full
     for x in range(o.n):
         if o.adj[x] & ~full:
             raise ValueError(f"adj[{x}] has bits outside 0..{o.n - 1}")
@@ -61,15 +78,6 @@ def validate_orthoset(o: Orthoset) -> None:
         for y in bits(o.adj[x]):
             if not o.adj[y] >> x & 1:
                 raise ValueError(f"orthogonality not symmetric on ({x}, {y})")
-
-
-def _perp_rows(adj: Sequence[int], n: int, x: int) -> int:
-    s = (1 << n) - 1
-    while x:
-        low = x & -x
-        s &= adj[low.bit_length() - 1]
-        x ^= low
-    return s
 
 
 def perp_table(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
@@ -95,12 +103,14 @@ def perp_table(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
 
 def perp(o: Orthoset, x: int) -> int:
     """Elements orthogonal to everything in x; the full set when x is empty."""
-    return _perp_rows(o.adj, o.n, x)
+    lo, hi = o.table
+    h = o.n // 2
+    return lo[x & ((1 << h) - 1)] & hi[x >> h]
 
 
 def double_perp(o: Orthoset, x: int) -> int:
     """Closure of x: the smallest orthoclosed superset."""
-    return _perp_rows(o.adj, o.n, _perp_rows(o.adj, o.n, x))
+    return perp(o, perp(o, x))
 
 
 def is_orthoclosed(o: Orthoset, x: int) -> bool:
@@ -126,20 +136,14 @@ def _closed_family(adj: Sequence[int], n: int) -> list[int]:
     return sorted(seen)
 
 
-def enumerate_orthoclosed(
-    o: Orthoset,
-    max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-) -> list[int]:
+def enumerate_orthoclosed(o: Orthoset) -> list[int]:
     """All orthoclosed subsets, sorted ascending by mask value.
 
     Intersections of point perps are closed under intersection and contain
     every orthoclosed set, so the family is built by a worklist closure
-    instead of filtering all 2**n subsets.  Raises SizeLimitError when n
-    exceeds max_elements or the family would exceed DEFAULT_MAX_FAMILY.
+    instead of filtering all 2**n subsets.  Raises SizeLimitError when the
+    family would exceed DEFAULT_MAX_FAMILY.
     """
-    if o.n > max_elements:
-        raise SizeLimitError(
-            f"orthoset has {o.n} elements, cap is {max_elements}")
     return _closed_family(o.adj, o.n)
 
 
@@ -175,10 +179,7 @@ def is_dacey_subset(o: Orthoset, x: int) -> bool:
 
     Raises NotOrthoclosedError if x is not orthoclosed.
     """
-    if not is_orthoclosed(o, x):
-        raise NotOrthoclosedError(f"subset {x:#x} is not orthoclosed")
-    px = perp(o, x)
-    return all(not perp(o, b) & ~px for b in bases(o, x))
+    return dacey_subset_checks(o, x)[2]
 
 
 def _dacey_rows(adj: Sequence[int], n: int, family: Sequence[int],
@@ -197,17 +198,13 @@ def _dacey_rows(adj: Sequence[int], n: int, family: Sequence[int],
     return True, None
 
 
-def is_dacey(
-    o: Orthoset,
-    max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-) -> tuple[bool, tuple[int, int] | None]:
+def is_dacey(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     """Decide the Dacey property; witness is the first failing (x, basis) pair.
 
     Scans orthoclosed sets ascending by mask, bases ascending within each.
-    Raises SizeLimitError past the caps.
+    Raises SizeLimitError past the family cap.
     """
-    return _dacey_rows(o.adj, o.n, enumerate_orthoclosed(o, max_elements),
-                       perp_table(o.adj, o.n))
+    return _dacey_rows(o.adj, o.n, enumerate_orthoclosed(o), o.table)
 
 
 def _compatible_rows(adj: Sequence[int], n: int,
@@ -234,10 +231,7 @@ def _compatible_rows(adj: Sequence[int], n: int,
     return True, None
 
 
-def is_compatible(
-    o: Orthoset,
-    max_elements: int = DEFAULT_MAX_ORTHO_ELEMENTS,
-) -> tuple[bool, tuple[int, int] | None]:
+def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     """Decide compatibility; witness is the lex-least failing pair.
 
     A pair of non-orthogonal elements x, y is compatible when some z has
@@ -245,10 +239,7 @@ def is_compatible(
     closures of {x} and {y} intersect.  Both forms are computed for every
     pair and asserted to agree.
     """
-    if o.n > max_elements:
-        raise SizeLimitError(
-            f"orthoset has {o.n} elements, cap is {max_elements}")
-    return _compatible_rows(o.adj, o.n, perp_table(o.adj, o.n))
+    return _compatible_rows(o.adj, o.n, o.table)
 
 
 def orthocomplement_pair_check(o: Orthoset, x: int, y: int) -> bool:

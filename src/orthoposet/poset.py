@@ -97,15 +97,17 @@ def _incomparability(comparable: Sequence[int], n: int) -> list[int]:
     return [full & ~(c | 1 << x) for x, c in enumerate(comparable)]
 
 
-def _closure(succ: Sequence[int], topo: Sequence[int]) -> list[int]:
-    """Strict order generated by the edge rows succ, given a topological
-    order of its elements: up[v] is everything reachable from v."""
-    up = [0] * len(succ)
-    for v in reversed(topo):
-        acc = 0
-        for w in bits(succ[v]):
-            acc |= (1 << w) | up[w]
-        up[v] = acc
+def _closure(succ: Sequence[int]) -> list[int]:
+    """Transitive closure of the edge rows succ: up[v] is everything
+    reachable from v, and v is in up[v] exactly when v lies on a cycle."""
+    up = list(succ)
+    # Warshall: after step k, up[v] holds every end of a path from v whose
+    # inner vertices all lie in 0..k
+    for k, row in enumerate(up):
+        bit = 1 << k
+        for v, r in enumerate(up):
+            if r & bit:
+                up[v] = r | row
     return up
 
 
@@ -152,25 +154,16 @@ def poset_from_covers(
             raise CycleError(f"cover pair ({a}, {a}) relates an element to itself")
         succ[a] |= 1 << b
 
-    # Kahn ordering over the generator edges; leftovers mean a cycle
-    indeg = [0] * n
-    for a in range(n):
-        for b in bits(succ[a]):
-            indeg[b] += 1
-    queue = [v for v in range(n) if indeg[v] == 0]
-    topo = []
-    while queue:
-        v = queue.pop()
-        topo.append(v)
-        for w in bits(succ[v]):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if len(topo) != n:
-        stuck = sorted(set(range(n)) - set(topo))
-        raise CycleError(f"cover relation has a cycle through elements {stuck}")
-
-    return from_up_rows(_closure(succ, topo), labels)
+    up = _closure(succ)
+    # everything reachable from an element on a cycle, the cycle included
+    stuck = 0
+    for x in range(n):
+        if up[x] >> x & 1:
+            stuck |= up[x]
+    if stuck:
+        raise CycleError(
+            f"cover relation has a cycle through elements {list(bits(stuck))}")
+    return from_up_rows(up, labels)
 
 
 def validate_poset(p: Poset) -> None:

@@ -1,6 +1,7 @@
 """Poset enumeration, random generators, theorem census, counterexample search."""
 
 import ast
+import os
 
 import pytest
 
@@ -151,6 +152,12 @@ def test_census_worker_invariance():
     assert single == duo == trio
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_census_rejects_a_worker_count_below_one(workers):
+    with pytest.raises(OrthoposetError, match="at least 1"):
+        census_run(3, workers=workers)
+
+
 def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
     # a stand-in Pool that records its size and maps serially, so a huge
     # worker count starts no process
@@ -172,8 +179,9 @@ def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
     expect = census_run(5)
     monkeypatch.setattr(census, "Pool", SerialPool)
     assert census_run(5, workers=1000) == expect
-    # only n=5 is sharded, one shard per prefix poset on four elements
-    assert sizes == [219]
+    # only n=5 is sharded, one shard per prefix poset on four elements, and
+    # the pool is no larger than the CPU count either
+    assert sizes == [min(219, os.cpu_count() or 1)]
 
 
 def test_search_finds_dacey_immediately():

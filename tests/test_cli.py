@@ -141,6 +141,26 @@ def test_census_reports_violations(capsys):
     assert "violations" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["census", "--max-n", "7"], "census to n=7 exceeds cap 6"),
+    (["search", "--predicate", "nfree_but_strict_not_dacey", "--max-n", "8"],
+     "search to n=8 exceeds cap 7"),
+    (["census", "--max-n", "3", "--workers", "0"],
+     "worker count must be at least 1, got 0"),
+])
+def test_census_and_search_refuse_before_enumerating(argv, message,
+                                                      monkeypatch, capsys):
+    # no cap is lifted: the error comes before any poset is enumerated
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("orthoposet.census._enumerate_rows", no_enumeration)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_search_finds(capsys):
     assert main(["search", "--predicate", "strict_dacey", "--max-n", "2"]) == 2
     assert capsys.readouterr().out == "element 0\n"

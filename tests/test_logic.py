@@ -133,7 +133,7 @@ def test_boolean_against_triple_oracle_small_posets():
     for n in range(5):
         for up, _dn in _enumerate_rows(n):
             _assert_boolean_matches_oracle(
-                Orthoset(n, incomparability_adj(n, up)))
+                Orthoset(incomparability_adj(n, up)))
 
 
 def test_boolean_against_triple_oracle_catalog():

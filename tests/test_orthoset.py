@@ -1,5 +1,6 @@
 """Perp operators, closed families, Dacey and compatibility decisions."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from orthoposet import orthoset
 from orthoposet.catalog import path_orthoset
 from orthoposet.census import random_orthoset
-from orthoposet.errors import NotOrthoclosedError, SizeLimitError
+from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
+                               SizeLimitError)
+from orthoposet.logic import build_logic
 from orthoposet.orthoset import (Orthoset, bases, dacey_subset_checks,
                                  double_perp, enumerate_orthoclosed,
                                  is_compatible, is_dacey, is_dacey_subset,
@@ -51,11 +54,18 @@ def test_from_pairs_validation():
 
 def test_validate_catches_corruption():
     with pytest.raises(ValueError):
-        validate_orthoset(Orthoset(2, (0b01, 0b01)))   # reflexive
+        validate_orthoset(Orthoset((0b01, 0b01)))   # reflexive
     with pytest.raises(ValueError):
-        validate_orthoset(Orthoset(2, (0b10, 0b00)))   # not symmetric
+        validate_orthoset(Orthoset((0b10, 0b00)))   # not symmetric
     with pytest.raises(ValueError):
-        validate_orthoset(Orthoset(2, (0b100, 0b00)))  # out of range
+        validate_orthoset(Orthoset((0b100, 0b00)))  # out of range
+
+
+def test_orthoset_stores_only_its_adjacency():
+    # n and the perp table are derived from adj, so they cannot disagree
+    assert [f.name for f in dataclasses.fields(Orthoset)] == ["adj"]
+    o = Orthoset((0b10, 0b01, 0b000))
+    assert o.n == 3 and o.table == perp_table(o.adj, 3)
 
 
 def test_perp_edge_cases():
@@ -85,14 +95,18 @@ def test_not_orthoclosed_raises():
 
 
 def test_size_caps(monkeypatch):
-    big = orthoset_from_pairs(21, [])
-    with pytest.raises(SizeLimitError):
-        enumerate_orthoclosed(big)
-    with pytest.raises(SizeLimitError):
-        is_dacey(big)
-    with pytest.raises(SizeLimitError):
-        is_compatible(big)
-    assert enumerate_orthoclosed(big, max_elements=21) == [0, big.full]
+    # raw orthosets are checked once, on entry, against the poset element cap
+    for make in (lambda n: orthoset_from_pairs(n, []),
+                 lambda n: random_orthoset(n, 0)):
+        with pytest.raises(SizeLimitError, match="25 elements, cap is 24"):
+            make(25)
+        with pytest.raises(OrthoposetError, match="non-negative"):
+            make(-1)
+    big = orthoset_from_pairs(24, [])
+    assert enumerate_orthoclosed(big) == [0, big.full]
+    assert is_dacey(big) == (True, None)
+    assert is_compatible(big) == (True, None)
+    assert build_logic(big).elements == (0, big.full)
     monkeypatch.setattr(orthoset, "DEFAULT_MAX_FAMILY", 8)
     with pytest.raises(SizeLimitError, match="exceeds cap 8"):
         enumerate_orthoclosed(random_orthoset(16, 1))

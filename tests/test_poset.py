@@ -66,6 +66,14 @@ def test_cycle_rejected():
         poset_from_covers(2, [(0, 0)])
 
 
+def test_cycle_error_names_the_cycle_and_everything_above_it():
+    # 2 sits above the cycle 0 <-> 1; 3 sits below it and is not named
+    with pytest.raises(CycleError, match=r"elements \[0, 1, 2\]$"):
+        poset_from_covers(3, [(0, 1), (1, 0), (1, 2)])
+    with pytest.raises(CycleError, match=r"elements \[0, 1\]$"):
+        poset_from_covers(4, [(3, 0), (0, 1), (1, 0)])
+
+
 def test_out_of_range_cover():
     with pytest.raises(IndexError):
         poset_from_covers(2, [(0, 2)])

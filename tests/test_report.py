@@ -13,8 +13,7 @@ from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
 from orthoposet.census import enumerate_labeled_posets, random_poset
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_covering_n, find_n, find_weak_n
-from orthoposet.orthoset import (DEFAULT_MAX_ORTHO_ELEMENTS, is_compatible,
-                                 is_dacey)
+from orthoposet.orthoset import is_compatible, is_dacey
 from orthoposet.report import build_report, emit_json_report
 
 SCHEMA = json.loads(
@@ -118,21 +117,20 @@ def standalone_witnesses(p) -> dict[str, dict]:
     """Label-level witnesses named by the standalone public procedures."""
     labels = p.labels
     o = incomparability_orthoset(p)
-    cap = max(p.n, DEFAULT_MAX_ORTHO_ELEMENTS)
     out = {}
     for kind, finder in (("n", find_n), ("covering_n", find_covering_n),
                          ("weak_n", find_weak_n)):
         w = finder(p)
         if w:
             out[kind] = {"quad": [labels[i] for i in w.quad]}
-    _, dw = is_dacey(o, max_elements=cap)
+    _, dw = is_dacey(o)
     if dw:
         out["dacey"] = {"closed_set": subset_labels(dw[0], labels),
                         "basis": subset_labels(dw[1], labels)}
-    _, pw = is_compatible(o, max_elements=cap)
+    _, pw = is_compatible(o)
     if pw:
         out["compatible"] = {"pair": [labels[i] for i in pw]}
-    logic = build_logic(o, max_elements=cap)
+    logic = build_logic(o)
     for kind, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):
         if idx:
