@@ -28,11 +28,9 @@ from .logic import (AxiomReport, Logic, build_logic, is_boolean,
                     is_orthomodular, verify_ortholattice)
 from .npatterns import (NWitness, chain_antichain_property, find_covering_n,
                         find_n, find_weak_n, is_n_free)
-from .orthoset import (Orthoset, bases, dacey_subset_checks, double_perp,
-                       enumerate_orthoclosed, is_compatible, is_dacey,
-                       is_dacey_subset, is_orthoclosed,
-                       orthocomplement_pair_check, orthoset_from_pairs, perp,
-                       validate_orthoset)
+from .orthoset import (Orthoset, bases, double_perp, enumerate_orthoclosed,
+                       is_compatible, is_dacey, is_orthoclosed,
+                       orthoset_from_pairs, perp, validate_orthoset)
 from .poset import (Poset, covers, dual, from_up_rows, incomparable, leq, lt,
                     maximal_antichains, maximal_chains, poset_from_covers,
                     validate_poset)
@@ -45,18 +43,17 @@ __all__ = [
     "TheoremReport", "UnknownElementError",
     "antichain", "bases", "bits", "build_logic", "build_report",
     "census_run", "chain", "chain_antichain_property", "covers",
-    "dacey_subset_checks", "diamond22", "double_perp", "dual",
+    "diamond22", "double_perp", "dual",
     "emit_dot_hasse", "emit_dot_lattice", "emit_json_report",
     "enumerate_labeled_posets", "enumerate_orthoclosed", "find_covering_n",
     "find_n", "find_weak_n", "format_subset", "from_up_rows",
     "incomparability_orthoset", "incomparable", "is_boolean",
-    "is_compatible", "is_dacey", "is_dacey_subset", "is_n_free",
+    "is_compatible", "is_dacey", "is_n_free",
     "is_orthoclosed", "is_orthomodular", "leq", "lt", "mask_of",
     "maximal_antichains", "maximal_chains", "maximal_cliques", "n_poset",
-    "nfree_strict_non_dacey", "orthocomplement_pair_check",
-    "orthoset_from_pairs", "parse_poset_file", "path_orthoset", "perp",
-    "poset_from_covers", "random_orthoset", "random_poset",
-    "search_counterexample", "serialize_poset_file",
+    "nfree_strict_non_dacey", "orthoset_from_pairs", "parse_poset_file",
+    "path_orthoset", "perp", "poset_from_covers", "random_orthoset",
+    "random_poset", "search_counterexample", "serialize_poset_file",
     "strict_comparability_orthoset", "subset_labels", "ud_decomposition",
     "validate_orthoset", "validate_poset", "verify_ortholattice",
     "verify_theorems", "weak_nfree_incompatible",

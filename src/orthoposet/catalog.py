@@ -61,6 +61,8 @@ def nfree_strict_non_dacey() -> Poset:
     the midpoints of a1 in its perp as well, so the basis does not recover
     the set.  No poset on seven or fewer elements does this: with fewer
     midpoints two covering chains share one and an N appears in the order.
+    On eight elements the witness is unique up to isomorphism: it is the
+    only one of the 16999 classes of posets that qualifies.
     """
     labels = ("a1", "a2", "b1", "b2", "b3", "b4", "c1", "c2")
     covers = [

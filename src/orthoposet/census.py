@@ -18,14 +18,21 @@ N yet fails compatibility, and its 30 labelings are exactly the violations
 the census reports at n=5.  Having a weak N does imply incompatible, so
 every compatible poset still counts as weak-N-free.
 
-Posets are enumerated by one-element extension: a poset on k+1 elements is a
-poset on k plus a choice of up-closed above-set A and down-closed below-set B
-with every member of B under every member of A.  Each labeled poset arises
-exactly once, extensions are tried in ascending (A, B) mask order, and the
-enumeration restricted to the first k elements is the enumeration at size k.
-That restriction compatibility is what makes sharding by prefix exact: any
-worker count partitions the same poset stream and the merged summary is
-identical.
+Every predicate is invariant under relabeling, so the census and the
+search decide one canonical representative per isomorphism class.  The
+classes on n elements are grown from those on n-1 by adding one new maximal
+element above each down-set, and deduplicated by a canonical form: the
+lex-least relabeled up rows over the relabelings that respect an
+iso-invariant colouring.  The relabelings reaching that minimum number
+|Aut|, so a class stands for n!/|Aut| labeled posets (orbit-stabilizer)
+and the census tallies it with that weight.  A class that violates an
+equivalence is expanded into its distinct labelings, each reported as the
+labeled census would report it.  Shards are contiguous chunks of each
+size's class list, so any worker count gives identical summaries.
+
+The labeled enumeration, one-element extension in a fixed order, is the
+public enumerate_labeled_posets.  The search returns, among the labelings
+of its hits, the one this enumeration reaches first.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ import random
 import signal
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import permutations, product
+from math import factorial
 from multiprocessing import Pool
 
 from .bitset import bits
@@ -45,10 +54,10 @@ from .npatterns import _chain_antichain_rows, _find_quad
 from .orthoset import (Orthoset, _closed_family, _compatible_rows,
                        _dacey_rows, orthoset_from_pairs, perp_table)
 from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _comparability,
-                    _covers_from_up, _incomparability, from_up_rows)
+                    _covers_from_up, _incomparability, _transpose,
+                    from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
-_SHARD_PREFIX_SIZE = 4
 # the seven predicates, in the order CensusSummary counts them
 _PREDICATES = ("n_free", "weak_n_free", "dacey", "compatible", "oml",
                "boolean", "chain_antichain")
@@ -91,18 +100,15 @@ class TheoremReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
-def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] = ((), ()),
-                    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+def _enumerate_rows(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Yield (up, down) row tuples for every labeled poset on n elements.
 
-    With a prefix (rows of a poset on k elements), yields only the posets
-    whose restriction to 0..k-1 is that prefix; the default, the poset on
-    no elements, is a prefix of every poset.
+    Element k is added with its above-set and then its below-set among
+    0..k-1, each in ascending mask order, so the posets come in ascending
+    order of _enumeration_key.
     """
-    pu, pd = prefix
-    k0 = len(pu)
-    up = list(pu) + [0] * (n - k0)
-    dn = list(pd) + [0] * (n - k0)
+    up = [0] * n
+    dn = [0] * n
 
     def rec(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         if k == n:
@@ -140,7 +146,7 @@ def _enumerate_rows(n: int, prefix: tuple[tuple[int, ...], tuple[int, ...]] = ((
                 up[k] = 0
                 dn[k] = 0
 
-    yield from rec(k0)
+    yield from rec(0)
 
 
 def enumerate_labeled_posets(n: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[Poset]:
@@ -157,6 +163,102 @@ def enumerate_labeled_posets(n: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[
             f"enumerating posets on {n} elements exceeds cap {cap}")
     for up, _dn in _enumerate_rows(n):
         yield from_up_rows(up, check=False)
+
+
+def _enumeration_key(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Position of a labeled poset in the order of _enumerate_rows."""
+    n = len(up)
+    down = _transpose(up, n)
+    return tuple((up[k] & ((1 << k) - 1), down[k] & ((1 << k) - 1))
+                 for k in range(n))
+
+
+def _relabel(up: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Up rows of the poset whose element i is element order[i] of up."""
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
+    return tuple(sum(1 << pos[y] for y in bits(up[x])) for x in order)
+
+
+def _relabelings(up: Sequence[int]) -> set[tuple[int, ...]]:
+    """Up rows of every labeling of a poset, each distinct one once."""
+    return {_relabel(up, order) for order in permutations(range(len(up)))}
+
+
+def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(canonical up rows, |Aut|) of a poset.
+
+    Each element is coloured by its up and down degree, then repeatedly by
+    the colours of its upper and lower neighbours until the number of
+    colours stops growing, so isomorphic posets get the same colours.
+    Twins, elements with equal up and down rows, can swap freely, so each
+    twin class stays together as one block.  The canonical rows are the
+    least _relabel over every order that lists the colours in ascending
+    order and each colour's blocks in any order.  The orders reaching that
+    minimum, times the orders inside the blocks, number |Aut|.
+    """
+    n = len(up)
+    down = _transpose(up, n)
+    above = [list(bits(r)) for r in up]
+    below = [list(bits(r)) for r in down]
+    colour = [(len(a), len(b)) for a, b in zip(above, below)]
+    count = len(set(colour))
+    while True:
+        sig = [(c, tuple(sorted([colour[y] for y in a])),
+                tuple(sorted([colour[y] for y in b])))
+               for c, a, b in zip(colour, above, below)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    blocks: dict[tuple[int, int], list[int]] = {}
+    for x in range(n):
+        blocks.setdefault((up[x], down[x]), []).append(x)
+    swaps = 1
+    for b in blocks.values():
+        swaps *= factorial(len(b))
+    cells = [[b for b in blocks.values() if colour[b[0]] == c]
+             for c in range(count)]
+    best, reached = None, 0
+    for parts in product(*map(permutations, cells)):
+        rows = _relabel(up, [x for part in parts for b in part for x in b])
+        if best is None or rows < best:
+            best, reached = rows, 1
+        elif rows == best:
+            reached += 1
+    return best, reached * swaps
+
+
+def _poset_classes(max_n: int,
+                   ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]]]]:
+    """Yield (n, classes) for n = 1..max_n, one (canonical up rows, |Aut|)
+    per isomorphism class of posets on n elements, sorted by rows.
+
+    Removing a maximal element leaves a poset on n-1 elements with the
+    removed element's below-set as a down-set, so adding a new maximal
+    element above every down-set of every class on n-1 elements reaches
+    every class on n.
+    """
+    level = [((), 1)]
+    for n in range(1, max_n + 1):
+        top = 1 << (n - 1)
+        found = {}
+        for up, _ in level:
+            # closure[d] is the down-closure of d, built by doubling
+            closure = [0]
+            for x, row in enumerate(_transpose(up, n - 1)):
+                closure += [c | row | 1 << x for c in closure]
+            for d in range(top):
+                if closure[d] != d:
+                    continue  # not a down-set
+                rows, aut = _canonical(
+                    [r | top if d >> x & 1 else r for x, r in enumerate(up)]
+                    + [0])
+                found[rows] = aut
+        level = sorted(found.items())
+        yield n, level
 
 
 def _check_edge_prob(edge_prob: float) -> None:
@@ -263,23 +365,30 @@ def verify_theorems(p: Poset,
                      max_lattice)
 
 
+def _derived_rows(up: Sequence[int], n: int,
+                  ) -> tuple[list[int], list[int], list[int]]:
+    """Cover, comparability and incomparability rows of raw up rows."""
+    comp = _comparability(up, _transpose(up, n))
+    return _covers_from_up(up, n), comp, _incomparability(comp, n)
+
+
 def _census_shard(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
-    """Tally one stream of posets; args is (n, prefixes), and only the
-    posets extending one of the prefixes are tallied."""
-    n, prefixes = args
+    """Tally a chunk of classes; args is (n, [(up, |Aut|), ...]), and each
+    class counts once for each of its n!/|Aut| labelings."""
+    n, classes = args
     total = 0
     counts = [0] * 7
     violations: list[str] = []
-    for prefix in prefixes:
-        for up, dn in _enumerate_rows(n, prefix):
-            total += 1
-            comp = _comparability(up, dn)
-            rep = _pipeline(n, up, _covers_from_up(up, n), comp,
-                            _incomparability(comp, n))
-            for i, name in enumerate(_PREDICATES):
-                counts[i] += getattr(rep, name)
-            for v in rep.violations:
-                violations.append(f"n={n} up={list(up)}: {v}")
+    for up, aut in classes:
+        weight = factorial(n) // aut
+        total += weight
+        rep = _pipeline(n, up, *_derived_rows(up, n))
+        for i, name in enumerate(_PREDICATES):
+            counts[i] += weight * getattr(rep, name)
+        if rep.violations:
+            for rows in _relabelings(up):
+                violations += (f"n={n} up={list(rows)}: {v}"
+                               for v in rep.violations)
     return total, counts, violations
 
 
@@ -287,36 +396,36 @@ def census_run(max_n: int, workers: int = 1,
                cap: int = DEFAULT_CENSUS_CAP) -> list[CensusSummary]:
     """Census for every size 1..max_n; identical output for any worker count.
 
-    Work is split by the poset on the first few elements (the top-left block
-    of the relation matrix); restriction compatibility of the enumeration
-    makes the shards an exact partition, and summaries merge by addition
-    with violations sorted.  The pool never has more processes than shards
-    or CPUs.  Raises SizeLimitError when max_n exceeds cap and
-    OrthoposetError when workers is below 1.
+    The classes are generated serially; each size's class list is cut into
+    at most `workers` contiguous shards, and one pool tallies the shards of
+    every size.  Summaries merge by addition with violations sorted.  The
+    pool never has more processes than shards or CPUs.  Raises
+    SizeLimitError when max_n exceeds cap and OrthoposetError when workers
+    is below 1.
     """
     if max_n > cap:
         raise SizeLimitError(f"census to n={max_n} exceeds cap {cap}")
     if workers < 1:
         raise OrthoposetError(f"worker count must be at least 1, got {workers}")
+    shards = []
+    for n, classes in _poset_classes(max_n):
+        step = -(-len(classes) // workers)
+        shards += [(n, classes[i:i + step])
+                   for i in range(0, len(classes), step)]
+    if workers == 1 or len(shards) <= 1:
+        results = list(map(_census_shard, shards))
+    else:
+        # workers ignore Ctrl-C; the parent stops them on its way out
+        with Pool(min(workers, len(shards), os.cpu_count() or 1),
+                  initializer=signal.signal,
+                  initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            results = pool.map(_census_shard, shards)
     out = []
     for n in range(1, max_n + 1):
-        # one shard extending the empty poset, or one per block of prefixes
-        k = 0 if n <= _SHARD_PREFIX_SIZE or workers <= 1 else _SHARD_PREFIX_SIZE
-        prefixes = list(_enumerate_rows(k))
-        step = -(-len(prefixes) // workers)
-        shards = [(n, prefixes[i:i + step])
-                  for i in range(0, len(prefixes), step)]
-        if len(shards) == 1:
-            results = [_census_shard(shards[0])]
-        else:
-            # workers ignore Ctrl-C; the parent stops them on its way out
-            with Pool(min(workers, len(shards), os.cpu_count() or 1),
-                      initializer=signal.signal,
-                      initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-                results = pool.map(_census_shard, shards)
-        total = sum(r[0] for r in results)
-        counts = [sum(r[1][i] for r in results) for i in range(7)]
-        violations = sorted(v for r in results for v in r[2])
+        mine = [r for (size, _), r in zip(shards, results) if size == n]
+        total = sum(r[0] for r in mine)
+        counts = [sum(r[1][i] for r in mine) for i in range(7)]
+        violations = sorted(v for r in mine for v in r[2])
         out.append(CensusSummary(n, total, *counts, tuple(violations)))
     return out
 
@@ -341,8 +450,10 @@ def search_counterexample(predicate: str, max_n: int,
                           cap: int = DEFAULT_CENSUS_CAP + 1) -> Poset | None:
     """First poset satisfying the named predicate, scanning sizes 1..max_n.
 
-    Deterministic: sizes ascending, posets in enumeration order.  Returns
-    None when no poset up to max_n qualifies.  Known predicates:
+    Deterministic: sizes ascending, and at the first size with a hit the
+    labeling enumerate_labeled_posets would reach first, although only one
+    poset per isomorphism class is tested.  Returns None when no poset up
+    to max_n qualifies.  Known predicates:
     nfree_but_strict_not_dacey (no poset on fewer than 8 elements satisfies
     it; the smallest witness is catalog.nfree_strict_non_dacey) and
     strict_dacey.
@@ -355,10 +466,11 @@ def search_counterexample(predicate: str, max_n: int,
             f"{sorted(_SEARCH_PREDICATES)}") from None
     if max_n > cap:
         raise SizeLimitError(f"search to n={max_n} exceeds cap {cap}")
-    for n in range(1, max_n + 1):
-        for up, dn in _enumerate_rows(n):
-            comp = _comparability(up, dn)
-            if pred(n, up, _covers_from_up(up, n), comp,
-                    _incomparability(comp, n)):
-                return from_up_rows(up)
+    for n, classes in _poset_classes(max_n):
+        hits = [up for up, _ in classes
+                if pred(n, up, *_derived_rows(up, n))]
+        if hits:
+            return from_up_rows(min(
+                (rows for up in hits for rows in _relabelings(up)),
+                key=_enumeration_key))
     return None

@@ -1,8 +1,8 @@
 """Command line front end.
 
-Verbs: analyze, logic, census, search, generate.  Exit codes: 0 success,
-1 any error (bad input, size caps, theorem violations in a census), 2 a
-search that found a qualifying poset.
+Verbs: analyze, hasse, logic, census, search, generate.  Exit codes: 0
+success, 1 any error (bad input, size caps, theorem violations in a
+census), 2 a search that found a qualifying poset.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .bitset import bits, is_clique, maximal_cliques
-from .errors import NotOrthoclosedError, OrthoposetError, SizeLimitError
+from .errors import OrthoposetError, SizeLimitError
 from .poset import DEFAULT_MAX_ELEMENTS
 
 DEFAULT_MAX_FAMILY = 1 << 20
@@ -156,32 +156,6 @@ def bases(o: Orthoset, x: int) -> list[int]:
     return maximal_cliques(o.adj, x)
 
 
-def dacey_subset_checks(o: Orthoset, x: int) -> tuple[bool, bool, bool]:
-    """The three equivalent basis criteria for an orthoclosed x, independently.
-
-    For every basis B of x: (a) the closure of B recovers x, (b) B and x have
-    equal perps, (c) the perp of B is contained in the perp of x.  All three
-    always agree; tests rely on that.  Raises NotOrthoclosedError if x is not
-    orthoclosed.
-    """
-    if not is_orthoclosed(o, x):
-        raise NotOrthoclosedError(f"subset {x:#x} is not orthoclosed")
-    px = perp(o, x)
-    bs = bases(o, x)
-    via_recovery = all(double_perp(o, b) == x for b in bs)
-    via_perp_equality = all(perp(o, b) == px for b in bs)
-    via_perp_containment = all(not perp(o, b) & ~px for b in bs)
-    return via_recovery, via_perp_equality, via_perp_containment
-
-
-def is_dacey_subset(o: Orthoset, x: int) -> bool:
-    """True iff every basis B of the orthoclosed x has perp(B) inside perp(x).
-
-    Raises NotOrthoclosedError if x is not orthoclosed.
-    """
-    return dacey_subset_checks(o, x)[2]
-
-
 def _dacey_rows(adj: Sequence[int], n: int, family: Sequence[int],
                 table: tuple[list[int], list[int]],
                 ) -> tuple[bool, tuple[int, int] | None]:
@@ -241,7 +215,3 @@ def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     """
     return _compatible_rows(o.adj, o.n, o.table)
 
-
-def orthocomplement_pair_check(o: Orthoset, x: int, y: int) -> bool:
-    """True iff x and y are mutual perps, hence both orthoclosed."""
-    return perp(o, x) == y and perp(o, y) == x

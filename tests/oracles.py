@@ -3,7 +3,11 @@
 Everything here recomputes results from first principles, by subset filtering
 or direct quantifier loops, sharing no code with the package beyond plain
 ints.  Oracles are deliberately slow and obvious; tests compare the package
-against them on inputs small enough for 2**n or n**4 scans.
+against them on inputs small enough for 2**n or n**4 scans.  The last
+section is the exception: the three basis criteria of the Dacey property
+and the mutual-perp check are stated on top of the package's perp and
+bases, so that tests can check the formulations against each other, against
+is_dacey and against mutual_perp_condition.
 """
 
 from __future__ import annotations
@@ -11,6 +15,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from orthoposet.errors import NotOrthoclosedError
+from orthoposet.orthoset import (Orthoset, bases, double_perp, is_orthoclosed,
+                                 perp)
 
 
 def members(mask: int, n: int) -> list[int]:
@@ -216,3 +224,36 @@ def mutual_perp_condition(adj: tuple[int, ...], n: int, x: int, y: int) -> bool:
         if all(adj[z] >> v & 1 for v in my):
             return False
     return True
+
+
+# ------------------------------------------------- basis criteria (Dacey)
+
+def dacey_subset_checks(o: Orthoset, x: int) -> tuple[bool, bool, bool]:
+    """The three equivalent basis criteria for an orthoclosed x, independently.
+
+    For every basis B of x: (a) the closure of B recovers x, (b) B and x have
+    equal perps, (c) the perp of B is contained in the perp of x.  All three
+    always agree; tests rely on that.  Raises NotOrthoclosedError if x is not
+    orthoclosed.
+    """
+    if not is_orthoclosed(o, x):
+        raise NotOrthoclosedError(f"subset {x:#x} is not orthoclosed")
+    px = perp(o, x)
+    bs = bases(o, x)
+    via_recovery = all(double_perp(o, b) == x for b in bs)
+    via_perp_equality = all(perp(o, b) == px for b in bs)
+    via_perp_containment = all(not perp(o, b) & ~px for b in bs)
+    return via_recovery, via_perp_equality, via_perp_containment
+
+
+def is_dacey_subset(o: Orthoset, x: int) -> bool:
+    """True iff every basis B of the orthoclosed x has perp(B) inside perp(x).
+
+    Raises NotOrthoclosedError if x is not orthoclosed.
+    """
+    return dacey_subset_checks(o, x)[2]
+
+
+def orthocomplement_pair_check(o: Orthoset, x: int, y: int) -> bool:
+    """True iff x and y are mutual perps, hence both orthoclosed."""
+    return perp(o, x) == y and perp(o, y) == x

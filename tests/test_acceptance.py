@@ -17,7 +17,9 @@ change to either shows up as a failure:
   elements finds no N-free poset whose strict-comparability orthoset fails
   the Dacey property, and the eight-element witness
   catalog.nfree_strict_non_dacey does fail it, so eight is the smallest
-  size of such a failure.
+  size of such a failure.  The test after it (7b) scans the 16999
+  isomorphism classes on eight elements and finds that witness, and only
+  it, up to isomorphism.
 """
 
 import ast
@@ -29,17 +31,18 @@ from orthoposet.bridges import (incomparability_orthoset,
                                 ud_decomposition)
 from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
                                 path_orthoset, weak_nfree_incompatible)
-from orthoposet.census import (census_run, enumerate_labeled_posets,
-                               random_orthoset, search_counterexample,
-                               verify_theorems)
+from orthoposet.census import (_SEARCH_PREDICATES, _derived_rows,
+                               _poset_classes, census_run,
+                               enumerate_labeled_posets, random_orthoset,
+                               search_counterexample, verify_theorems)
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_n, find_weak_n, is_n_free
-from orthoposet.orthoset import (dacey_subset_checks, double_perp,
-                                 enumerate_orthoclosed, is_compatible,
-                                 is_dacey, orthocomplement_pair_check, perp)
+from orthoposet.orthoset import (double_perp, enumerate_orthoclosed,
+                                 is_compatible, is_dacey, perp)
 
 from oracles import (brute_closed_sets, brute_compatible, brute_n_quads,
-                     incomparability_adj, mutual_perp_condition,
+                     dacey_subset_checks, incomparability_adj,
+                     mutual_perp_condition, orthocomplement_pair_check,
                      relabelings, relation_filter_poset_count)
 
 
@@ -261,6 +264,25 @@ def test_criterion_7_strict_counterexample_search():
     print(f"ACCEPTANCE 7: PASS - no N-free poset on up to 7 elements has a "
           f"non-Dacey strict-comparability orthoset ({elapsed:.1f}s); the "
           f"8-element catalog witness does")
+
+
+def test_strict_non_dacey_witness_is_unique_at_eight():
+    # among the 16999 isomorphism classes of posets on eight elements,
+    # exactly one is N-free with a non-Dacey strict-comparability orthoset,
+    # and it is the catalog witness; the search returns one of its labelings
+    t0 = time.perf_counter()
+    pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
+    n, classes = list(_poset_classes(8))[-1]
+    hits = [up for up, _ in classes if pred(n, up, *_derived_rows(up, n))]
+    w = nfree_strict_non_dacey()
+    witness_labelings = relabelings(w.n, w.up)
+    assert len(classes) == 16999
+    assert len(hits) == 1 and hits[0] in witness_labelings
+    found = search_counterexample("nfree_but_strict_not_dacey", 8, cap=8)
+    assert found is not None and found.up in witness_labelings
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE 7b: PASS - the strict non-Dacey witness is the only "
+          f"N-free class on eight elements ({elapsed:.1f}s)")
 
 
 def test_criterion_8_closure_enumeration_oracle():

@@ -179,9 +179,10 @@ def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
     expect = census_run(5)
     monkeypatch.setattr(census, "Pool", SerialPool)
     assert census_run(5, workers=1000) == expect
-    # only n=5 is sharded, one shard per prefix poset on four elements, and
-    # the pool is no larger than the CPU count either
-    assert sizes == [min(219, os.cpu_count() or 1)]
+    # one pool for the whole run: every size's classes are cut into shards of
+    # one class each, 1 + 2 + 5 + 16 + 63 = 87 shards, and the pool is no
+    # larger than the CPU count either
+    assert sizes == [min(87, os.cpu_count() or 1)]
 
 
 def test_search_finds_dacey_immediately():

@@ -150,11 +150,13 @@ def test_census_reports_violations(capsys):
 ])
 def test_census_and_search_refuse_before_enumerating(argv, message,
                                                       monkeypatch, capsys):
-    # no cap is lifted: the error comes before any poset is enumerated
+    # no cap is lifted: the error comes before any poset or isomorphism
+    # class is enumerated
     def no_enumeration(*args):
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("orthoposet.census._enumerate_rows", no_enumeration)
+    monkeypatch.setattr("orthoposet.census._poset_classes", no_enumeration)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"

@@ -11,15 +11,14 @@ from orthoposet.census import random_orthoset
 from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
                                SizeLimitError)
 from orthoposet.logic import build_logic
-from orthoposet.orthoset import (Orthoset, bases, dacey_subset_checks,
-                                 double_perp, enumerate_orthoclosed,
-                                 is_compatible, is_dacey, is_dacey_subset,
-                                 is_orthoclosed, orthocomplement_pair_check,
-                                 orthoset_from_pairs, perp, perp_table,
-                                 validate_orthoset)
+from orthoposet.orthoset import (Orthoset, bases, double_perp,
+                                 enumerate_orthoclosed, is_compatible,
+                                 is_dacey, is_orthoclosed, orthoset_from_pairs,
+                                 perp, perp_table, validate_orthoset)
 
 from oracles import (brute_closed_sets, brute_maximal_cliques, brute_perp,
-                     mutual_perp_condition)
+                     dacey_subset_checks, is_dacey_subset,
+                     mutual_perp_condition, orthocomplement_pair_check)
 
 
 def test_path_worked_example():
