@@ -323,7 +323,7 @@ def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
     table = perp_table(incomp, n)
     _, found["dacey"] = _dacey_rows(incomp, n, family, table)
     _, found["compatible"] = _compatible_rows(incomp, n, table)
-    logic = _logic_from_family(incomp, n, family, table, max_lattice)
+    logic = _logic_from_family(n, family, table, max_lattice)
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):

@@ -4,7 +4,11 @@ Orthoclosed sets ordered by inclusion form a complete lattice with
 intersection as meet and double-perp of union as join; the perp is an
 orthocomplementation.  Everything here is tabulated once at construction:
 elements are masks in ascending order, all relations and operations are
-stored by element index.
+stored by element index.  Joins are tabulated by De Morgan from the meets
+and checked against the double perp of the union, in O(m**2).  Booleanness
+is decided by Birkhoff's test, every join-irreducible element join-prime,
+in at most O(m**2) join lookups, and checked against the disjointness law;
+only a logic that is not Boolean pays the m**3 scan for its witness.
 """
 
 from __future__ import annotations
@@ -46,17 +50,19 @@ class Logic:
 def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     """Tabulate the logic of o.
 
-    Meets (intersections of closed sets are closed), joins and
-    orthocomplements must land back in the family, and the two join
-    formulas, perp of intersection of perps and double perp of the union,
-    must agree; all of this is asserted during construction.  Raises
-    SizeLimitError when the family is larger than max_lattice.
+    Orthocomplements and meets (intersections of closed sets are closed)
+    must land back in the family.  Each join is taken by De Morgan, as the
+    orthocomplement of the meet of the orthocomplements, so it is a table
+    lookup; on every unordered pair it is asserted equal to the double perp
+    of the union, the second formula, taken through the perp table.  The
+    cost is O(m**2) table lookups and perps.  Raises SizeLimitError when
+    the family is larger than max_lattice.
     """
-    return _logic_from_family(o.adj, o.n, enumerate_orthoclosed(o), o.table,
+    return _logic_from_family(o.n, enumerate_orthoclosed(o), o.table,
                               max_lattice)
 
 
-def _logic_from_family(adj, n: int, elements: list[int],
+def _logic_from_family(n: int, elements: list[int],
                        table: tuple[list[int], list[int]],
                        max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     m = len(elements)
@@ -69,49 +75,40 @@ def _logic_from_family(adj, n: int, elements: list[int],
     get = index.get
     pow2 = [1 << j for j in range(m)]
 
-    perps = [lo[e & lm] & hi[e >> h] for e in elements]
-    ocompl = list(map(get, perps))
+    ocompl = list(map(get, [lo[e & lm] & hi[e >> h] for e in elements]))
     if None in ocompl:
         raise AssertionError(
             f"perp of element {ocompl.index(None)} left the family")
 
     leq = []
     meet = []
-    join = []
     for i, ei in enumerate(elements):
         inter = [ei & ej for ej in elements]
         leq.append(sum(compress(pow2, [t == ei for t in inter])))
-        mrow = list(map(get, inter))
-        pi = perps[i]
-        # join as the perp of the intersection of perps, and as the double
-        # perp of the union; the perp of the union is looked up, not taken
-        # as pi & pj, so that the two formulas stay independent
-        jv = [lo[(q := pi & pj) & lm] & hi[q >> h] for pj in perps]
-        pu = [lo[(u := ei | ej) & lm] & hi[u >> h] for ej in elements]
-        jv2 = [lo[q & lm] & hi[q >> h] for q in pu]
-        jrow = list(map(get, jv))
-        if None in mrow or jv != jv2 or None in jrow:
-            _raise_first_bad_cell(i, mrow, jv, jv2, jrow)
-        meet.append(tuple(mrow))
-        join.append(tuple(jrow))
+        mrow = tuple(map(get, inter))
+        if None in mrow:
+            raise AssertionError(f"meet of elements {i}, "
+                                 f"{mrow.index(None)} is not orthoclosed")
+        meet.append(mrow)
+
+    # join[i][j] = ocompl[meet[ocompl[i]][ocompl[j]]], the perp of the
+    # intersection of perps; the double perp of the union is the second
+    # formula.  Both are symmetric, so they are compared on j >= i only
+    join = []
+    for i, ei in enumerate(elements):
+        row = meet[ocompl[i]]
+        jrow = tuple([ocompl[row[c]] for c in ocompl])
+        via_union = [lo[(q := lo[(u := ei | ej) & lm] & hi[u >> h]) & lm]
+                     & hi[q >> h] for ej in elements[i:]]
+        via_meet = list(map(elements.__getitem__, jrow[i:]))
+        if via_meet != via_union:
+            j = next(j for j, (a, b) in enumerate(zip(via_meet, via_union), i)
+                     if a != b)
+            raise AssertionError(f"join formulas disagree on elements {i}, {j}")
+        join.append(jrow)
 
     return Logic(tuple(elements), tuple(leq), tuple(ocompl),
                  tuple(meet), tuple(join))
-
-
-def _raise_first_bad_cell(i: int, mrow, jv, jv2, jrow) -> None:
-    # checks in the order a cell-by-cell scan makes them, so the message
-    # names the first failing cell of row i
-    for j in range(len(mrow)):
-        if mrow[j] is None:
-            raise AssertionError(
-                f"meet of elements {i}, {j} is not orthoclosed")
-        if jv[j] != jv2[j]:
-            raise AssertionError(
-                f"join formulas disagree on elements {i}, {j}")
-        if jrow[j] is None:
-            raise AssertionError(
-                f"join of elements {i}, {j} left the family")
 
 
 @dataclass(frozen=True)
@@ -198,18 +195,49 @@ def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
 def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
     """Decide distributivity; lex-least witness triple.
 
-    Cross-checked against the disjointness law (meet zero forces being under
-    the complement), which holds exactly on the Boolean logics; the two
-    verdicts are asserted to agree.
+    The verdict is Birkhoff's: a finite lattice is distributive iff every
+    join-irreducible element is join-prime.  That takes O(m) join lookups
+    per element, so at most O(m**2).  It is cross-checked against the
+    disjointness law (meet zero forces being under the complement), which
+    holds exactly on the Boolean logics; the two verdicts are asserted to
+    agree.  Only a non-distributive logic is scanned for its witness, and
+    the scan, up to m**3 lookups, is asserted to find one.
     """
-    witness = _distributivity_witness(l)
-    disjoint_law = not any(
-        k == l.bottom and not l.leq[a] >> c & 1
-        for a, row in enumerate(l.meet) for k, c in zip(row, l.ocompl))
-    if (witness is None) != disjoint_law:
+    distributive = _join_irreducibles_are_prime(l)
+    bot, leq = l.bottom, l.leq
+    disjoint_law = all(leq[a] >> c & 1 for a, row in enumerate(l.meet)
+                       for k, c in zip(row, l.ocompl) if k == bot)
+    if distributive != disjoint_law:
         raise AssertionError(
             "distributivity and the disjointness law disagree")
-    return witness is None, witness
+    if distributive:
+        return True, None
+    witness = _distributivity_witness(l)
+    if witness is None:
+        raise AssertionError("no witness for a non-distributive logic")
+    return False, witness
+
+
+def _join_irreducibles_are_prime(l: Logic) -> bool:
+    # j is join-irreducible iff the join of the elements strictly below it
+    # is not j, and join-prime iff the join of all x with j not <= x is
+    # still not >= j.  below[j] is built by joining each x into every
+    # element strictly above it
+    join, leq = l.join, l.leq
+    below = [l.bottom] * l.m
+    for x, up in enumerate(leq):
+        for j in bits(up & ~(1 << x)):
+            below[j] = join[below[j]][x]
+    everything = (1 << l.m) - 1
+    for j, up in enumerate(leq):
+        if below[j] == j:
+            continue
+        acc = l.bottom
+        for x in bits(everything & ~up):
+            acc = join[acc][x]
+        if up >> acc & 1:
+            return False
+    return True
 
 
 def _distributivity_witness(l: Logic) -> tuple[int, int, int] | None:

@@ -12,6 +12,7 @@ is_dacey and against mutual_perp_condition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -178,19 +179,29 @@ def brute_distributivity_witness(adj: tuple[int, ...], n: int,
 
     Indices refer to the closed sets in ascending mask order; meet is
     intersection and join the double perp of the union, each evaluated
-    directly on masks for every triple.
+    directly on masks for every triple.  The double perp is remembered per
+    union, so the scan costs m**3 lookups.
     """
     closed = brute_closed_sets(adj, n)
 
-    def join(x, y):
-        return brute_perp(adj, n, brute_perp(adj, n, x | y))
+    @functools.cache
+    def closure(u):
+        return brute_perp(adj, n, brute_perp(adj, n, u))
 
     for i, x in enumerate(closed):
         for j, y in enumerate(closed):
             for k, z in enumerate(closed):
-                if x & join(y, z) != join(x & y, x & z):
+                if x & closure(y | z) != closure(x & y | x & z):
                     return i, j, k
     return None
+
+
+def brute_join_table(adj: tuple[int, ...], n: int) -> list[list[int]]:
+    """Join of every pair of closed sets, as masks: the double perp of the
+    union, in ascending mask order of the closed sets."""
+    closed = brute_closed_sets(adj, n)
+    return [[brute_perp(adj, n, brute_perp(adj, n, x | y)) for y in closed]
+            for x in closed]
 
 
 def brute_maximal_cliques(adj: tuple[int, ...], n: int, sub: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Analysis reports: content, canonical JSON, schema conformance."""
 
 import json
+import time
 from pathlib import Path
 
 import jsonschema
@@ -157,3 +158,13 @@ def test_witnesses_match_the_standalone_procedures():
         kinds |= expect.keys()
     # every kind of witness is exercised
     assert kinds == set(failing.values()) | {"covering_n"}
+
+
+def test_analyze_of_a_large_boolean_logic_is_bounded():
+    # antichain(10) has the 1024-element Boolean logic; deciding it with the
+    # m**3 distributivity scan took about 40 s
+    t0 = time.perf_counter()
+    report = build_report(antichain(10))
+    elapsed = time.perf_counter() - t0
+    assert report.predicates["boolean"] and report.lattice_size == 1024
+    assert elapsed < 10, f"build_report(antichain(10)) took {elapsed:.1f} s"
