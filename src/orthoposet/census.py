@@ -1,9 +1,9 @@
 """Exhaustive and randomized verification of the structure theorems.
 
-For every labeled poset up to a size bound, the census decides seven
-predicates (N-free, weak-N-free, Dacey, compatible, orthomodular, Boolean,
-chain-antichain) and records any violation of the equivalences claimed to
-tie them together:
+For every poset up to a size bound, one per isomorphism class, the census
+decides seven predicates (N-free, weak-N-free, Dacey, compatible,
+orthomodular, Boolean, chain-antichain) in one pass, verify_theorems, and
+records any violation of the equivalences claimed to tie them together:
 
   N-free  ==  incomparability orthoset Dacey  ==  logic orthomodular
           ==  every maximal chain meets every maximal antichain
@@ -47,14 +47,15 @@ from math import factorial
 from multiprocessing import Pool
 
 from .bitset import bits
+from .bridges import incomparability_orthoset, strict_comparability_orthoset
 from .errors import OrthoposetError, SizeLimitError
 from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
                     is_orthomodular)
-from .npatterns import _chain_antichain_rows, _find_quad
-from .orthoset import (Orthoset, _closed_family, _compatible_rows,
-                       _dacey_rows, orthoset_from_pairs, perp_table)
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _comparability,
-                    _covers_from_up, _incomparability, _transpose,
+from .npatterns import (chain_antichain_property, find_covering_n, find_n,
+                        find_weak_n, is_n_free)
+from .orthoset import (Orthoset, _dacey, enumerate_orthoclosed,
+                       is_compatible, is_dacey, orthoset_from_pairs)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _transpose,
                     from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
@@ -81,11 +82,13 @@ class CensusSummary:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-poset predicate verdicts, equivalence violations and witnesses.
+    """What verify_theorems decides for one poset: the seven verdicts, the
+    size of the logic, the equivalences violated, and the witnesses.
 
     witnesses maps each failing predicate to the raw witness its standalone
     procedure names: element indices for the N quads and the incompatible
     pair, masks for the Dacey pair and the oml and boolean logic elements.
+    The census tallies these reports and build_report puts them in labels.
     """
 
     n_free: bool
@@ -308,22 +311,18 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
                                    if rng.random() < edge_prob))
 
 
-def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
-              comparable: Sequence[int], incomp: Sequence[int],
-              max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """The one decision pass: all seven predicates, the equivalence checks
-    and the witness of every failing predicate, on raw relation rows."""
-    found = {
-        "n": _find_quad(n, up, up, incomp, cover_up, incomp),
-        "covering_n": _find_quad(n, cover_up, cover_up, incomp, cover_up,
-                                 incomp),
-        "weak_n": _find_quad(n, up, up, [(1 << n) - 1] * n, cover_up, incomp),
-    }
-    family = _closed_family(incomp, n)
-    table = perp_table(incomp, n)
-    _, found["dacey"] = _dacey_rows(incomp, n, family, table)
-    _, found["compatible"] = _compatible_rows(incomp, n, table)
-    logic = _logic_from_family(n, family, table, max_lattice)
+def verify_theorems(p: Poset,
+                    max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
+    """The one decision pass: all seven predicates of one poset, the
+    equivalence checks and the witness of every failing predicate.  The
+    Dacey test and the logic share one orthoclosed family and perp table."""
+    found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
+                                      find_weak_n(p)) if w is not None}
+    o = incomparability_orthoset(p)
+    family = enumerate_orthoclosed(o)
+    found["dacey"] = _dacey(o, family)[1]
+    found["compatible"] = is_compatible(o)[1]
+    logic = _logic_from_family(p.n, family, o.table, max_lattice)
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):
@@ -334,19 +333,16 @@ def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
     n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
         kind not in witnesses for kind in
         ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
-    chain_antichain = _chain_antichain_rows(n, comparable, incomp)
+    chain_antichain = chain_antichain_property(p)
 
-    violations = []
-    for name, lhs, rhs in (
+    violations = [name for name, lhs, rhs in (
         ("n_free vs dacey", n_free, dacey),
         ("n_free vs oml", n_free, oml),
         ("n_free vs chain_antichain", n_free, chain_antichain),
         ("n_free vs covering_n_free", n_free, cov_n_free),
         ("weak_n_free vs compatible", weak_free, compatible),
         ("weak_n_free vs boolean", weak_free, boolean),
-    ):
-        if lhs != rhs:
-            violations.append(name)
+    ) if lhs != rhs]
     if weak_free and not n_free:
         violations.append("weak_n_free without n_free")
     if boolean and not oml:
@@ -357,19 +353,11 @@ def _pipeline(n: int, up: Sequence[int], cover_up: Sequence[int],
                          witnesses)
 
 
-def verify_theorems(p: Poset,
-                    max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """Decide all predicates for one poset, cross-check the equivalences and
-    name the witness of every failing predicate, in one pass."""
-    return _pipeline(p.n, p.up, p.cover_up, p.comparable, p.incomp,
-                     max_lattice)
-
-
-def _derived_rows(up: Sequence[int], n: int,
-                  ) -> tuple[list[int], list[int], list[int]]:
-    """Cover, comparability and incomparability rows of raw up rows."""
-    comp = _comparability(up, _transpose(up, n))
-    return _covers_from_up(up, n), comp, _incomparability(comp, n)
+def _check_max_n(what: str, max_n: int, cap: int) -> None:
+    if max_n < 0:
+        raise OrthoposetError(f"poset size must be non-negative, got {max_n}")
+    if max_n > cap:
+        raise SizeLimitError(f"{what} to n={max_n} exceeds cap {cap}")
 
 
 def _census_shard(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
@@ -382,7 +370,7 @@ def _census_shard(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
     for up, aut in classes:
         weight = factorial(n) // aut
         total += weight
-        rep = _pipeline(n, up, *_derived_rows(up, n))
+        rep = verify_theorems(from_up_rows(up, check=False))
         for i, name in enumerate(_PREDICATES):
             counts[i] += weight * getattr(rep, name)
         if rep.violations:
@@ -400,11 +388,10 @@ def census_run(max_n: int, workers: int = 1,
     at most `workers` contiguous shards, and one pool tallies the shards of
     every size.  Summaries merge by addition with violations sorted.  The
     pool never has more processes than shards or CPUs.  Raises
-    SizeLimitError when max_n exceeds cap and OrthoposetError when workers
-    is below 1.
+    OrthoposetError when max_n is negative or workers is below 1, and
+    SizeLimitError when max_n exceeds cap.
     """
-    if max_n > cap:
-        raise SizeLimitError(f"census to n={max_n} exceeds cap {cap}")
+    _check_max_n("census", max_n, cap)
     if workers < 1:
         raise OrthoposetError(f"worker count must be at least 1, got {workers}")
     shards = []
@@ -430,14 +417,12 @@ def census_run(max_n: int, workers: int = 1,
     return out
 
 
-def _pred_strict_dacey(n, up, cov, comp, incomp) -> bool:
-    ok, _ = _dacey_rows(comp, n, _closed_family(comp, n), perp_table(comp, n))
-    return ok
+def _pred_strict_dacey(p: Poset) -> bool:
+    return is_dacey(strict_comparability_orthoset(p))[0]
 
 
-def _pred_nfree_strict_not_dacey(n, up, cov, comp, incomp) -> bool:
-    return (_find_quad(n, up, up, incomp, cov, incomp) is None
-            and not _pred_strict_dacey(n, up, cov, comp, incomp))
+def _pred_nfree_strict_not_dacey(p: Poset) -> bool:
+    return is_n_free(p) and not _pred_strict_dacey(p)
 
 
 _SEARCH_PREDICATES = {
@@ -456,7 +441,9 @@ def search_counterexample(predicate: str, max_n: int,
     to max_n qualifies.  Known predicates:
     nfree_but_strict_not_dacey (no poset on fewer than 8 elements satisfies
     it; the smallest witness is catalog.nfree_strict_non_dacey) and
-    strict_dacey.
+    strict_dacey.  Raises ValueError on an unknown predicate,
+    OrthoposetError when max_n is negative and SizeLimitError when max_n
+    exceeds cap.
     """
     try:
         pred = _SEARCH_PREDICATES[predicate]
@@ -464,11 +451,9 @@ def search_counterexample(predicate: str, max_n: int,
         raise ValueError(
             f"unknown predicate {predicate!r}; known: "
             f"{sorted(_SEARCH_PREDICATES)}") from None
-    if max_n > cap:
-        raise SizeLimitError(f"search to n={max_n} exceeds cap {cap}")
+    _check_max_n("search", max_n, cap)
     for n, classes in _poset_classes(max_n):
-        hits = [up for up, _ in classes
-                if pred(n, up, *_derived_rows(up, n))]
+        hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
         if hits:
             return from_up_rows(min(
                 (rows for up in hits for rows in _relabelings(up)),

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .bitset import maximal_cliques
-from .poset import Poset
+from .poset import Poset, maximal_antichains, maximal_chains
 
 NKind = Literal["n", "covering_n", "weak_n"]
 
@@ -65,7 +64,7 @@ def _witness(kind: NKind, quad: tuple[int, int, int, int] | None,
 
 def is_n_free(p: Poset) -> bool:
     """True iff no quadruple of p forms an N."""
-    return _find_quad(p.n, p.up, p.up, p.incomp, p.cover_up, p.incomp) is None
+    return find_n(p) is None
 
 
 def find_n(p: Poset) -> NWitness | None:
@@ -86,22 +85,11 @@ def find_weak_n(p: Poset) -> NWitness | None:
                                          p.cover_up, p.incomp))
 
 
-def _chain_antichain_rows(n: int, comparable: Sequence[int],
-                          incomp: Sequence[int]) -> bool:
-    # maximal chains and antichains are the maximal cliques of the
-    # comparability and incomparability graphs
-    if n == 0:
-        return True
-    full = (1 << n) - 1
-    antichains = maximal_cliques(incomp, full)
-    return all(c & a for c in maximal_cliques(comparable, full)
-               for a in antichains)
-
-
 def chain_antichain_property(p: Poset) -> bool:
     """True iff every maximal chain meets every maximal antichain.
 
     Chains and antichains are nonempty subsets, so the empty poset satisfies
     this vacuously.
     """
-    return _chain_antichain_rows(p.n, p.comparable, p.incomp)
+    antichains = maximal_antichains(p)
+    return all(c & a for c in maximal_chains(p) for a in antichains)

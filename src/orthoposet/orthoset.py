@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bitset import bits, is_clique, maximal_cliques
 from .errors import OrthoposetError, SizeLimitError
-from .poset import DEFAULT_MAX_ELEMENTS
+from .poset import DEFAULT_MAX_ELEMENTS, cached
 
 DEFAULT_MAX_FAMILY = 1 << 20
 
@@ -24,13 +23,13 @@ DEFAULT_MAX_FAMILY = 1 << 20
 class Orthoset:
     """Immutable orthoset; adj[x] is the mask of elements orthogonal to x.
 
-    Only adj is stored; n and the perp table are derived from it on first
-    use.
+    Only adj is stored, compared and hashed; n and the perp table are
+    derived from it on first use.
     """
 
     adj: tuple[int, ...]
 
-    @cached_property
+    @cached
     def n(self) -> int:
         return len(self.adj)
 
@@ -38,7 +37,7 @@ class Orthoset:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @cached
     def table(self) -> tuple[list[int], list[int]]:
         """perp_table(adj, n): every perp of this orthoset by two lookups."""
         return perp_table(self.adj, self.n)
@@ -117,10 +116,16 @@ def is_orthoclosed(o: Orthoset, x: int) -> bool:
     return double_perp(o, x) == x
 
 
-def _closed_family(adj: Sequence[int], n: int) -> list[int]:
-    # every orthoclosed set is an intersection of point perps (empty
-    # intersection giving the full set), so close {full} under x -> x & adj[i]
-    full = (1 << n) - 1
+def enumerate_orthoclosed(o: Orthoset) -> list[int]:
+    """All orthoclosed subsets, sorted ascending by mask value.
+
+    Intersections of point perps are closed under intersection and contain
+    every orthoclosed set, so the family is built by a worklist closure
+    instead of filtering all 2**n subsets.  Raises SizeLimitError when the
+    family would exceed DEFAULT_MAX_FAMILY.
+    """
+    # close {full}, the empty intersection, under x -> x & adj[i]
+    adj, full = o.adj, o.full
     seen = {full}
     stack = [full]
     while stack:
@@ -136,17 +141,6 @@ def _closed_family(adj: Sequence[int], n: int) -> list[int]:
     return sorted(seen)
 
 
-def enumerate_orthoclosed(o: Orthoset) -> list[int]:
-    """All orthoclosed subsets, sorted ascending by mask value.
-
-    Intersections of point perps are closed under intersection and contain
-    every orthoclosed set, so the family is built by a worklist closure
-    instead of filtering all 2**n subsets.  Raises SizeLimitError when the
-    family would exceed DEFAULT_MAX_FAMILY.
-    """
-    return _closed_family(o.adj, o.n)
-
-
 def bases(o: Orthoset, x: int) -> list[int]:
     """Maximal pairwise-orthogonal subsets of x, sorted by mask value.
 
@@ -156,11 +150,12 @@ def bases(o: Orthoset, x: int) -> list[int]:
     return maximal_cliques(o.adj, x)
 
 
-def _dacey_rows(adj: Sequence[int], n: int, family: Sequence[int],
-                table: tuple[list[int], list[int]],
-                ) -> tuple[bool, tuple[int, int] | None]:
-    lo, hi = table
-    h = n // 2
+def _dacey(o: Orthoset, family: Sequence[int],
+           ) -> tuple[bool, tuple[int, int] | None]:
+    # is_dacey on a family already built, so a caller that also builds the
+    # logic computes the family once
+    adj, (lo, hi) = o.adj, o.table
+    h = o.n // 2
     lm = (1 << h) - 1
     for x in family:
         if is_clique(adj, x):
@@ -178,17 +173,20 @@ def is_dacey(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     Scans orthoclosed sets ascending by mask, bases ascending within each.
     Raises SizeLimitError past the family cap.
     """
-    return _dacey_rows(o.adj, o.n, enumerate_orthoclosed(o), o.table)
+    return _dacey(o, enumerate_orthoclosed(o))
 
 
-def _compatible_rows(adj: Sequence[int], n: int,
-                     table: tuple[list[int], list[int]],
-                     ) -> tuple[bool, tuple[int, int] | None]:
-    lo, hi = table
-    h = n // 2
-    lm = (1 << h) - 1
+def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
+    """Decide compatibility; witness is the lex-least failing pair.
+
+    A pair of non-orthogonal elements x, y is compatible when some z has
+    perp(z) containing both perp(x) and perp(y); equivalently, when the
+    closures of {x} and {y} intersect.  Both forms are computed for every
+    pair and asserted to agree.
+    """
+    adj, n = o.adj, o.n
     # closure of {x} is the perp of adj[x]
-    hulls = [lo[r & lm] & hi[r >> h] for r in adj]
+    hulls = [perp(o, r) for r in adj]
     for x in range(n):
         for y in range(x + 1, n):
             if adj[x] >> y & 1:
@@ -203,15 +201,4 @@ def _compatible_rows(adj: Sequence[int], n: int,
             if not bound_exists:
                 return False, (x, y)
     return True, None
-
-
-def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
-    """Decide compatibility; witness is the lex-least failing pair.
-
-    A pair of non-orthogonal elements x, y is compatible when some z has
-    perp(z) containing both perp(x) and perp(y); equivalently, when the
-    closures of {x} and {y} intersect.  Both forms are computed for every
-    pair and asserted to agree.
-    """
-    return _compatible_rows(o.adj, o.n, o.table)
 

@@ -2,7 +2,7 @@
 
 A poset stores only its strict order, as row masks: up[x] is the set
 {y : x < y}.  Every other relation (down, covers, comparability,
-incomparability) is derived from up on first use by one helper below;
+incomparability) is a cached property derived from up on first use;
 every decision procedure in the package works on these masks.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from operator import or_
 
 from .bitset import bits, maximal_cliques
@@ -19,14 +18,33 @@ from .errors import CycleError, OrthoposetError, SizeLimitError
 DEFAULT_MAX_ELEMENTS = 24
 
 
+class cached:
+    """functools.cached_property without the lock it takes on a first read
+    before Python 3.12: the value goes into the instance __dict__, which
+    later reads find first.  Racing first reads compute equal values."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Poset:
-    """Immutable poset; construct via poset_from_covers or from_up_rows."""
+    """Immutable poset; construct via poset_from_covers or from_up_rows.
+
+    Only up and labels are stored, compared and hashed; the derived rows
+    are cached on first use.
+    """
 
     up: tuple[int, ...]          # up[x] = {y : x < y}
     labels: tuple[str, ...]
 
-    @cached_property
+    @cached
     def n(self) -> int:
         return len(self.up)
 
@@ -34,30 +52,32 @@ class Poset:
     def full(self) -> int:
         return (1 << self.n) - 1
 
-    @cached_property
+    @cached
     def down(self) -> tuple[int, ...]:
         """down[x] = {y : y < x}."""
         return tuple(_transpose(self.up, self.n))
 
-    @cached_property
+    @cached
     def cover_up(self) -> tuple[int, ...]:
         """cover_up[x] = {y : y covers x}."""
         return tuple(_covers_from_up(self.up, self.n))
 
-    @cached_property
+    @cached
     def cover_down(self) -> tuple[int, ...]:
         """cover_down[x] = {y : x covers y}."""
         return tuple(_transpose(self.cover_up, self.n))
 
-    @cached_property
+    @cached
     def comparable(self) -> tuple[int, ...]:
         """comparable[x] = {y : x < y or y < x}."""
-        return tuple(_comparability(self.up, self.down))
+        return tuple(map(or_, self.up, self.down))
 
-    @cached_property
+    @cached
     def incomp(self) -> tuple[int, ...]:
         """incomp[x] = {y != x : neither x < y nor y < x}."""
-        return tuple(_incomparability(self.comparable, self.n))
+        full = self.full
+        return tuple([full & ~(c | 1 << x)
+                      for x, c in enumerate(self.comparable)])
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -84,17 +104,6 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
         for y in bits(rows[x]):
             out[y] |= 1 << x
     return out
-
-
-def _comparability(up: Sequence[int], down: Sequence[int]) -> list[int]:
-    """Rows of the comparability relation: x < y or y < x."""
-    return list(map(or_, up, down))
-
-
-def _incomparability(comparable: Sequence[int], n: int) -> list[int]:
-    """Rows of the incomparability relation: y != x and not comparable to x."""
-    full = (1 << n) - 1
-    return [full & ~(c | 1 << x) for x, c in enumerate(comparable)]
 
 
 def _closure(succ: Sequence[int]) -> list[int]:

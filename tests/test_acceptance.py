@@ -31,14 +31,15 @@ from orthoposet.bridges import (incomparability_orthoset,
                                 ud_decomposition)
 from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
                                 path_orthoset, weak_nfree_incompatible)
-from orthoposet.census import (_SEARCH_PREDICATES, _derived_rows,
-                               _poset_classes, census_run,
-                               enumerate_labeled_posets, random_orthoset,
-                               search_counterexample, verify_theorems)
+from orthoposet.census import (_SEARCH_PREDICATES, _poset_classes,
+                               census_run, enumerate_labeled_posets,
+                               random_orthoset, search_counterexample,
+                               verify_theorems)
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_n, find_weak_n, is_n_free
 from orthoposet.orthoset import (double_perp, enumerate_orthoclosed,
                                  is_compatible, is_dacey, perp)
+from orthoposet.poset import from_up_rows
 
 from oracles import (brute_closed_sets, brute_compatible, brute_n_quads,
                      dacey_subset_checks, incomparability_adj,
@@ -273,7 +274,7 @@ def test_strict_non_dacey_witness_is_unique_at_eight():
     t0 = time.perf_counter()
     pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
     n, classes = list(_poset_classes(8))[-1]
-    hits = [up for up, _ in classes if pred(n, up, *_derived_rows(up, n))]
+    hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
     w = nfree_strict_non_dacey()
     witness_labelings = relabelings(w.n, w.up)
     assert len(classes) == 16999

@@ -11,9 +11,9 @@ from math import factorial
 import pytest
 
 from orthoposet import census
-from orthoposet.census import (_derived_rows, _enumerate_rows,
-                               _enumeration_key, _pipeline, _poset_classes,
-                               census_run, search_counterexample)
+from orthoposet.census import (_enumerate_rows, _enumeration_key,
+                               _poset_classes, census_run,
+                               search_counterexample, verify_theorems)
 from orthoposet.npatterns import is_n_free
 from orthoposet.poset import from_up_rows
 
@@ -68,12 +68,12 @@ def test_unlabeled_n_free_counts():
 
 
 def test_labeled_tally_equals_census():
-    # the census of every labeled poset, one _pipeline call each
+    # the census of every labeled poset, one verify_theorems call each
     out = []
     for n in range(1, 6):
         total, counts, violations = 0, [0] * 7, []
         for up, _dn in _enumerate_rows(n):
-            rep = _pipeline(n, up, *_derived_rows(up, n))
+            rep = verify_theorems(from_up_rows(up, check=False))
             total += 1
             for i, name in enumerate(census._PREDICATES):
                 counts[i] += getattr(rep, name)
@@ -93,22 +93,22 @@ def test_enumeration_order_is_the_search_key():
 def _labeled_first_hit(pred, max_n):
     for n in range(1, max_n + 1):
         for up, _dn in _enumerate_rows(n):
-            if pred(n, up, *_derived_rows(up, n)):
+            if pred(from_up_rows(up, check=False)):
                 return up
     return None
 
 
-def _has_n(n, up, cov, comp, incomp):
-    return not is_n_free(from_up_rows(up))
+def _has_n(p):
+    return not is_n_free(p)
 
 
-def _weak_n_free_incompatible(n, up, cov, comp, incomp):
-    rep = _pipeline(n, up, cov, comp, incomp)
+def _weak_n_free_incompatible(p):
+    rep = verify_theorems(p)
     return rep.weak_n_free and not rep.compatible
 
 
-def _n_free_not_boolean(n, up, cov, comp, incomp):
-    rep = _pipeline(n, up, cov, comp, incomp)
+def _n_free_not_boolean(p):
+    rep = verify_theorems(p)
     return rep.n_free and not rep.boolean
 
 

@@ -147,6 +147,9 @@ def test_census_reports_violations(capsys):
      "search to n=8 exceeds cap 7"),
     (["census", "--max-n", "3", "--workers", "0"],
      "worker count must be at least 1, got 0"),
+    (["census", "--max-n", "-2"], "poset size must be non-negative, got -2"),
+    (["search", "--predicate", "strict_dacey", "--max-n", "-2"],
+     "poset size must be non-negative, got -2"),
 ])
 def test_census_and_search_refuse_before_enumerating(argv, message,
                                                       monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Perp operators, closed families, Dacey and compatibility decisions."""
 
 import dataclasses
+import importlib
+import pickle
 import random
 
 import pytest
@@ -65,6 +67,24 @@ def test_orthoset_stores_only_its_adjacency():
     assert [f.name for f in dataclasses.fields(Orthoset)] == ["adj"]
     o = Orthoset((0b10, 0b01, 0b000))
     assert o.n == 3 and o.table == perp_table(o.adj, 3)
+
+
+def test_derived_table_is_cached_and_invisible():
+    # a touched orthoset equals, hashes and pickles like an untouched
+    # copy, and its size and perp table are computed once, on first use.
+    # The class is looked up now, as pickle looks it up, in case the
+    # package was re-imported since this module was
+    current = importlib.import_module("orthoposet.orthoset").Orthoset
+    adj = path_orthoset(4).adj
+    o, untouched = current(adj), current(adj)
+    table = o.table
+    assert set(vars(o)) == {"adj", "n", "table"}
+    assert o.table is table and table == perp_table(o.adj, 4)
+    assert vars(untouched) == {"adj": o.adj}
+    assert o == untouched and hash(o) == hash(untouched)
+    copy = pickle.loads(pickle.dumps(o))
+    assert copy == untouched and hash(copy) == hash(untouched)
+    assert copy.n == untouched.n and copy.table == untouched.table
 
 
 def test_perp_edge_cases():

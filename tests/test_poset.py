@@ -1,6 +1,8 @@
 """Poset construction, validation, duality, chains and antichains."""
 
 import dataclasses
+import importlib
+import pickle
 
 import pytest
 
@@ -89,6 +91,28 @@ def test_size_cap():
 def test_poset_stores_only_its_order():
     # every other row is derived from up, so no two stored rows can disagree
     assert [f.name for f in dataclasses.fields(Poset)] == ["up", "labels"]
+
+
+DERIVED = ("n", "down", "cover_up", "cover_down", "comparable", "incomp")
+
+
+def test_derived_rows_are_cached_and_invisible():
+    # a touched poset equals, hashes and pickles like an untouched copy,
+    # and each derived row is computed once, on first use.  The class is
+    # looked up now, as pickle looks it up, in case the package was
+    # re-imported since this module was
+    current = importlib.import_module("orthoposet.poset").Poset
+    for q in (chain(4), antichain(3), n_poset(), diamond22()):
+        p, untouched = current(q.up, q.labels), current(q.up, q.labels)
+        rows = {name: getattr(p, name) for name in DERIVED}
+        assert set(vars(p)) == {"up", "labels", *DERIVED}
+        assert all(getattr(p, name) is row for name, row in rows.items())
+        assert vars(untouched) == {"up": p.up, "labels": p.labels}
+        assert p == untouched and hash(p) == hash(untouched)
+        copy = pickle.loads(pickle.dumps(p))
+        assert copy == untouched and hash(copy) == hash(untouched)
+        assert all(getattr(copy, name) == getattr(untouched, name)
+                   for name in DERIVED)
 
 
 def test_validate_catches_corruption():

@@ -1,10 +1,13 @@
 """Analysis reports: content, canonical JSON, schema conformance."""
 
+import importlib
 import json
+import sys
 import time
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from orthoposet.bitset import subset_labels
 from orthoposet.bridges import incomparability_orthoset
@@ -20,6 +23,12 @@ from orthoposet.report import build_report, emit_json_report
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json")
     .read_text(encoding="utf-8"))
+
+
+CATALOG = {"n": n_poset(), "diamond22": diamond22(),
+           "weak_nfree_incompatible": weak_nfree_incompatible(),
+           "nfree_strict_non_dacey": nfree_strict_non_dacey(),
+           "antichain6": antichain(6)}
 
 
 def validate(doc: str) -> dict:
@@ -168,3 +177,38 @@ def test_analyze_of_a_large_boolean_logic_is_bounded():
     elapsed = time.perf_counter() - t0
     assert report.predicates["boolean"] and report.lattice_size == 1024
     assert elapsed < 10, f"build_report(antichain(10)) took {elapsed:.1f} s"
+
+
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count every call of the named orthoset functions, through every
+    orthoposet module that binds them, under whatever name."""
+    counts = dict.fromkeys(names, 0)
+    modules = [m for k, m in list(sys.modules.items())
+               if k == "orthoposet" or k.startswith("orthoposet.")]
+    for name in names:
+        fn = getattr(sys.modules["orthoposet.orthoset"], name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_each_fact_is_computed_once(name, monkeypatch):
+    # one orthoclosed family and one perp table per analysis: the Dacey
+    # test and the logic must share them, not each build their own
+    counts = _count_calls(monkeypatch, ("enumerate_orthoclosed", "perp_table"))
+    # looked up now, so the count sees the modules the calls go through
+    census = importlib.import_module("orthoposet.census")
+    report = importlib.import_module("orthoposet.report")
+    for run in (census.verify_theorems, report.build_report):
+        counts.update(dict.fromkeys(counts, 0))
+        run(CATALOG[name])
+        assert counts == {"enumerate_orthoclosed": 1, "perp_table": 1}, \
+            run.__name__
