@@ -11,12 +11,13 @@ records any violation of the equivalences claimed to tie them together:
   weak-N-free  ==  incomparability orthoset compatible  ==  logic Boolean
 
 plus the one-way facts that weak-N-free implies N-free and Boolean implies
-orthomodular.  The first cluster and all one-way facts verify clean at
-every size this census can reach.  The second cluster is genuinely false
-in the weak-N-free direction: catalog.weak_nfree_incompatible has no weak
-N yet fails compatibility, and its 30 labelings are exactly the violations
-the census reports at n=5.  Having a weak N does imply incompatible, so
-every compatible poset still counts as weak-N-free.
+orthomodular.  The first cluster, compatible == Boolean and all one-way
+facts verify clean at every size this census can reach.  The second
+cluster is genuinely false in the weak-N-free direction:
+catalog.weak_nfree_incompatible has no weak N yet fails compatibility, and
+its 30 labelings are exactly the violations the census reports at n=5.
+Having a weak N does imply incompatible, so every compatible poset still
+counts as weak-N-free.
 
 Every predicate is invariant under relabeling, so the census and the
 search decide one canonical representative per isomorphism class.  The
@@ -103,8 +104,8 @@ class TheoremReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
-def _enumerate_rows(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Yield (up, down) row tuples for every labeled poset on n elements.
+def _enumerate_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """Yield the up rows of every labeled poset on n elements.
 
     Element k is added with its above-set and then its below-set among
     0..k-1, each in ascending mask order, so the posets come in ascending
@@ -113,9 +114,9 @@ def _enumerate_rows(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]
     up = [0] * n
     dn = [0] * n
 
-    def rec(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    def rec(k: int) -> Iterator[tuple[int, ...]]:
         if k == n:
-            yield tuple(up), tuple(dn)
+            yield tuple(up)
             return
         fullk = (1 << k) - 1
         aboves = [a for a in range(fullk + 1)
@@ -164,7 +165,7 @@ def enumerate_labeled_posets(n: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[
     if n > cap:
         raise SizeLimitError(
             f"enumerating posets on {n} elements exceeds cap {cap}")
-    for up, _dn in _enumerate_rows(n):
+    for up in _enumerate_rows(n):
         yield from_up_rows(up, check=False)
 
 
@@ -322,7 +323,7 @@ def verify_theorems(p: Poset,
     family = enumerate_orthoclosed(o)
     found["dacey"] = _dacey(o, family)[1]
     found["compatible"] = is_compatible(o)[1]
-    logic = _logic_from_family(p.n, family, o.table, max_lattice)
+    logic = _logic_from_family(o, family, max_lattice)
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):
@@ -342,6 +343,7 @@ def verify_theorems(p: Poset,
         ("n_free vs covering_n_free", n_free, cov_n_free),
         ("weak_n_free vs compatible", weak_free, compatible),
         ("weak_n_free vs boolean", weak_free, boolean),
+        ("compatible vs boolean", compatible, boolean),
     ) if lhs != rhs]
     if weak_free and not n_free:
         violations.append("weak_n_free without n_free")

@@ -4,11 +4,12 @@ Orthoclosed sets ordered by inclusion form a complete lattice with
 intersection as meet and double-perp of union as join; the perp is an
 orthocomplementation.  Everything here is tabulated once at construction:
 elements are masks in ascending order, all relations and operations are
-stored by element index.  Joins are tabulated by De Morgan from the meets
-and checked against the double perp of the union, in O(m**2).  Booleanness
-is decided by Birkhoff's test, every join-irreducible element join-prime,
-in at most O(m**2) join lookups, and checked against the disjointness law;
-only a logic that is not Boolean pays the m**3 scan for its witness.
+stored by element index.  Each fact has one formula here: joins are
+tabulated by De Morgan from the meets, in O(m**2), and Booleanness is
+decided by Birkhoff's test, every join-irreducible element join-prime, in
+at most O(m**2) join lookups; only a logic that is not Boolean pays the
+m**3 scan for its witness.  The second formulations (the double perp of
+the union, the distributive law on every triple) are the test oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from operator import itemgetter
 
 from .bitset import bits
 from .errors import SizeLimitError
-from .orthoset import Orthoset, enumerate_orthoclosed
+from .orthoset import Orthoset, enumerate_orthoclosed, perp
 
 DEFAULT_MAX_LATTICE = 4096
 
@@ -53,29 +54,22 @@ def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     Orthocomplements and meets (intersections of closed sets are closed)
     must land back in the family.  Each join is taken by De Morgan, as the
     orthocomplement of the meet of the orthocomplements, so it is a table
-    lookup; on every unordered pair it is asserted equal to the double perp
-    of the union, the second formula, taken through the perp table.  The
-    cost is O(m**2) table lookups and perps.  Raises SizeLimitError when
-    the family is larger than max_lattice.
+    lookup and the whole tabulation costs O(m**2).  Raises SizeLimitError
+    when the family is larger than max_lattice.
     """
-    return _logic_from_family(o.n, enumerate_orthoclosed(o), o.table,
-                              max_lattice)
+    return _logic_from_family(o, enumerate_orthoclosed(o), max_lattice)
 
 
-def _logic_from_family(n: int, elements: list[int],
-                       table: tuple[list[int], list[int]],
+def _logic_from_family(o: Orthoset, elements: list[int],
                        max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
     m = len(elements)
     if m > max_lattice:
         raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
-    lo, hi = table
-    h = n // 2
-    lm = (1 << h) - 1
     index = {e: i for i, e in enumerate(elements)}
     get = index.get
     pow2 = [1 << j for j in range(m)]
 
-    ocompl = list(map(get, [lo[e & lm] & hi[e >> h] for e in elements]))
+    ocompl = [get(perp(o, e)) for e in elements]
     if None in ocompl:
         raise AssertionError(
             f"perp of element {ocompl.index(None)} left the family")
@@ -91,21 +85,11 @@ def _logic_from_family(n: int, elements: list[int],
                                  f"{mrow.index(None)} is not orthoclosed")
         meet.append(mrow)
 
-    # join[i][j] = ocompl[meet[ocompl[i]][ocompl[j]]], the perp of the
-    # intersection of perps; the double perp of the union is the second
-    # formula.  Both are symmetric, so they are compared on j >= i only
+    # De Morgan: the join is the perp of the intersection of the perps
     join = []
-    for i, ei in enumerate(elements):
-        row = meet[ocompl[i]]
-        jrow = tuple([ocompl[row[c]] for c in ocompl])
-        via_union = [lo[(q := lo[(u := ei | ej) & lm] & hi[u >> h]) & lm]
-                     & hi[q >> h] for ej in elements[i:]]
-        via_meet = list(map(elements.__getitem__, jrow[i:]))
-        if via_meet != via_union:
-            j = next(j for j, (a, b) in enumerate(zip(via_meet, via_union), i)
-                     if a != b)
-            raise AssertionError(f"join formulas disagree on elements {i}, {j}")
-        join.append(jrow)
+    for c in ocompl:
+        row = meet[c]
+        join.append(tuple([ocompl[row[d]] for d in ocompl]))
 
     return Logic(tuple(elements), tuple(leq), tuple(ocompl),
                  tuple(meet), tuple(join))
@@ -197,20 +181,11 @@ def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
 
     The verdict is Birkhoff's: a finite lattice is distributive iff every
     join-irreducible element is join-prime.  That takes O(m) join lookups
-    per element, so at most O(m**2).  It is cross-checked against the
-    disjointness law (meet zero forces being under the complement), which
-    holds exactly on the Boolean logics; the two verdicts are asserted to
-    agree.  Only a non-distributive logic is scanned for its witness, and
-    the scan, up to m**3 lookups, is asserted to find one.
+    per element, so at most O(m**2).  Only a non-distributive logic is
+    scanned for its witness, and the scan, up to m**3 lookups, is asserted
+    to find one.
     """
-    distributive = _join_irreducibles_are_prime(l)
-    bot, leq = l.bottom, l.leq
-    disjoint_law = all(leq[a] >> c & 1 for a, row in enumerate(l.meet)
-                       for k, c in zip(row, l.ocompl) if k == bot)
-    if distributive != disjoint_law:
-        raise AssertionError(
-            "distributivity and the disjointness law disagree")
-    if distributive:
+    if _join_irreducibles_are_prime(l):
         return True, None
     witness = _distributivity_witness(l)
     if witness is None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cache
 from operator import or_
 
 from .bitset import bits, maximal_cliques
@@ -80,6 +81,7 @@ class Poset:
                       for x, c in enumerate(self.comparable)])
 
 
+@cache
 def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 

@@ -3,11 +3,16 @@
 Everything here recomputes results from first principles, by subset filtering
 or direct quantifier loops, sharing no code with the package beyond plain
 ints.  Oracles are deliberately slow and obvious; tests compare the package
-against them on inputs small enough for 2**n or n**4 scans.  The last
-section is the exception: the three basis criteria of the Dacey property
-and the mutual-perp check are stated on top of the package's perp and
-bases, so that tests can check the formulations against each other, against
-is_dacey and against mutual_perp_condition.
+against them on inputs small enough for 2**n or n**4 scans.  Where the
+package decides a fact by one formula, the oracle is its second
+formulation: joins as the double perp of the union (brute_join_table),
+Booleanness as the distributive law on every triple
+(brute_distributivity_witness) and compatibility as a common bound of the
+two perps (brute_compatible_pair).  The last section is the exception: the
+three basis criteria of the Dacey property and the mutual-perp check are
+stated on top of the package's perp and bases, so that tests can check the
+formulations against each other, against is_dacey and against
+mutual_perp_condition.
 """
 
 from __future__ import annotations
@@ -170,6 +175,23 @@ def brute_compatible(adj: tuple[int, ...], n: int) -> bool:
     hulls = [brute_perp(adj, n, brute_perp(adj, n, 1 << x)) for x in range(n)]
     return all(hulls[x] & hulls[y] for x in range(n) for y in range(x + 1, n)
                if not adj[x] >> y & 1)
+
+
+def brute_compatible_pair(adj: tuple[int, ...], n: int,
+                          ) -> tuple[int, int] | None:
+    """Lex-least non-orthogonal pair x < y with no z orthogonal to
+    everything orthogonal to x or to y, or None when every pair has one.
+
+    The perp of a singleton is its adjacency row, so z is such a bound
+    exactly when adj[x] | adj[y] lies inside adj[z]; n**3 steps.
+    """
+    for x in range(n):
+        for y in range(x + 1, n):
+            joined = adj[x] | adj[y]
+            if not adj[x] >> y & 1 and not any(not joined & ~adj[z]
+                                               for z in range(n)):
+                return x, y
+    return None
 
 
 def brute_distributivity_witness(adj: tuple[int, ...], n: int,

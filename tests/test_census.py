@@ -6,7 +6,8 @@ import os
 import pytest
 
 from orthoposet.bridges import incomparability_orthoset
-from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
+from orthoposet.catalog import (chain, diamond22, n_poset,
+                                nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
 from orthoposet.census import (census_run, enumerate_labeled_posets,
                                random_orthoset, random_poset,
@@ -104,6 +105,21 @@ def test_weak_n_free_incompatible_counterexample():
     assert rep.weak_n_free and not rep.compatible and not rep.boolean
     assert rep.violations == ("weak_n_free vs compatible",
                               "weak_n_free vs boolean")
+
+
+@pytest.mark.parametrize("p, patched, expected", [
+    (chain(3), (False, (0, 0, 0)),
+     ("weak_n_free vs boolean", "compatible vs boolean")),
+    (n_poset(), (True, None),
+     ("weak_n_free vs boolean", "compatible vs boolean",
+      "boolean without oml")),
+])
+def test_wrong_boolean_verdict_is_a_violation(p, patched, expected,
+                                              monkeypatch):
+    # compatibility is decided without the logic, so it checks the Boolean
+    # verdict on every poset the census visits
+    monkeypatch.setattr(census, "is_boolean", lambda logic: patched)
+    assert verify_theorems(p).violations == expected
 
 
 def test_census_small_counts():

@@ -46,7 +46,7 @@ def test_classes_partition_the_labeled_posets(classes7):
             assert len(orbit) == factorial(n) // aut, f"n={n} up={up}"
             assert not orbit & seen, f"n={n} up={up} meets an earlier class"
             seen |= orbit
-        assert seen == {up for up, _ in _enumerate_rows(n)}
+        assert seen == set(_enumerate_rows(n))
 
 
 def test_canonical_form_ignores_labels():
@@ -72,7 +72,7 @@ def test_labeled_tally_equals_census():
     out = []
     for n in range(1, 6):
         total, counts, violations = 0, [0] * 7, []
-        for up, _dn in _enumerate_rows(n):
+        for up in _enumerate_rows(n):
             rep = verify_theorems(from_up_rows(up, check=False))
             total += 1
             for i, name in enumerate(census._PREDICATES):
@@ -86,13 +86,13 @@ def test_labeled_tally_equals_census():
 
 def test_enumeration_order_is_the_search_key():
     for n in range(6):
-        keys = [_enumeration_key(up) for up, _dn in _enumerate_rows(n)]
+        keys = [_enumeration_key(up) for up in _enumerate_rows(n)]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def _labeled_first_hit(pred, max_n):
     for n in range(1, max_n + 1):
-        for up, _dn in _enumerate_rows(n):
+        for up in _enumerate_rows(n):
             if pred(from_up_rows(up, check=False)):
                 return up
     return None

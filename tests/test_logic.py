@@ -13,7 +13,7 @@ from orthoposet.census import (_enumerate_rows, _poset_classes,
 from orthoposet.errors import SizeLimitError
 from orthoposet.logic import (_logic_from_family, build_logic, is_boolean,
                               is_orthomodular, verify_ortholattice)
-from orthoposet.orthoset import Orthoset, perp_table
+from orthoposet.orthoset import Orthoset
 
 from oracles import (brute_distributivity_witness, brute_join_table,
                      incomparability_adj)
@@ -126,22 +126,28 @@ def test_lattice_size_cap():
         build_logic(incomparability_orthoset(diamond22()), max_lattice=4)
 
 
-def _assert_boolean_matches_oracle(o: Orthoset) -> None:
+def _assert_logic_matches_oracles(o: Orthoset):
+    """Booleanness and the join table of o's logic against the oracles;
+    returns the logic and the oracle's distributivity witness."""
+    logic = build_logic(o)
     witness = brute_distributivity_witness(o.adj, o.n)
-    assert is_boolean(build_logic(o)) == (witness is None, witness)
+    assert is_boolean(logic) == (witness is None, witness)
+    assert [[logic.elements[k] for k in row] for row in logic.join] \
+        == brute_join_table(o.adj, o.n)
+    return logic, witness
 
 
 def test_boolean_against_triple_oracle_small_posets():
     for n in range(5):
-        for up, _dn in _enumerate_rows(n):
-            _assert_boolean_matches_oracle(
+        for up in _enumerate_rows(n):
+            _assert_logic_matches_oracles(
                 Orthoset(incomparability_adj(n, up)))
 
 
 def test_boolean_against_triple_oracle_all_classes_to_six():
     for n, classes in _poset_classes(6):
         for up, _aut in classes:
-            _assert_boolean_matches_oracle(
+            _assert_logic_matches_oracles(
                 Orthoset(incomparability_adj(n, up)))
 
 
@@ -150,12 +156,8 @@ def test_boolean_and_join_against_oracles_random_orthosets():
     # Birkhoff's test is exercised beyond the logics of posets
     kinds = set()
     for seed in range(80):
-        o = random_orthoset(seed % 9 + 1, seed + 1100)
-        logic = build_logic(o)
-        witness = brute_distributivity_witness(o.adj, o.n)
-        assert is_boolean(logic) == (witness is None, witness)
-        assert [[logic.elements[k] for k in row] for row in logic.join] \
-            == brute_join_table(o.adj, o.n)
+        logic, witness = _assert_logic_matches_oracles(
+            random_orthoset(seed % 9 + 1, seed + 1100))
         kinds.add((is_orthomodular(logic)[0], witness is None))
     assert kinds == {(False, False), (True, False), (True, True)}
 
@@ -163,8 +165,8 @@ def test_boolean_and_join_against_oracles_random_orthosets():
 def test_boolean_against_triple_oracle_catalog():
     for p in (n_poset(), diamond22(), weak_nfree_incompatible(),
               nfree_strict_non_dacey(), chain(4), antichain(4)):
-        _assert_boolean_matches_oracle(incomparability_orthoset(p))
-    _assert_boolean_matches_oracle(path_orthoset(4))
+        _assert_logic_matches_oracles(incomparability_orthoset(p))
+    _assert_logic_matches_oracles(path_orthoset(4))
 
 
 def test_logic_rejects_family_not_closed_under_meet():
@@ -173,48 +175,20 @@ def test_logic_rejects_family_not_closed_under_meet():
     # orthocomplement check passes and their meet {1} is the first failure
     with pytest.raises(AssertionError,
                        match=r"meet of elements 1, 2 is not orthoclosed"):
-        _logic_from_family(3, [0b000, 0b011, 0b110, 0b111],
-                           perp_table((0, 0, 0), 3))
+        _logic_from_family(Orthoset((0, 0, 0)), [0b000, 0b011, 0b110, 0b111])
 
 
 def test_logic_rejects_perp_outside_family():
     # 0 and 1 orthogonal: the perp of {0} is {1}, left out of the family
     with pytest.raises(AssertionError,
                        match=r"perp of element 1 left the family"):
-        _logic_from_family(2, [0b00, 0b01, 0b11],
-                           perp_table((0b10, 0b01), 2))
-
-
-def test_logic_rejects_disagreeing_join_formulas():
-    # the path 0 - 1 - 2 has closed sets {}, {1}, {0,2} and everything.  The
-    # corrupted entry makes the perp of {1,2} and of everything {1}, so the
-    # double perp of {1} | {0,2} is {0,2}, while the perp of the meet of
-    # their perps {0,2} and {1} is everything
-    lo, hi = perp_table((0b010, 0b101, 0b010), 3)
-    assert hi[3] == 0
-    hi[3] = 0b010
-    with pytest.raises(AssertionError,
-                       match=r"join formulas disagree on elements 1, 2"):
-        _logic_from_family(3, [0b000, 0b010, 0b101, 0b111], (lo, hi))
-
-
-def test_boolean_rejects_disagreeing_formulations():
-    # the four-element Boolean logic with the meet of atom 1 with itself set
-    # to bottom: the join and order tables still pass Birkhoff's test, and
-    # the disjointness law fails
-    logic = build_logic(incomparability_orthoset(antichain(2)))
-    meet = [list(row) for row in logic.meet]
-    meet[1][1] = logic.bottom
-    bad = dataclasses.replace(logic, meet=tuple(map(tuple, meet)))
-    with pytest.raises(AssertionError, match=r"distributivity and the "
-                                             r"disjointness law disagree"):
-        is_boolean(bad)
+        _logic_from_family(Orthoset((0b10, 0b01)), [0b00, 0b01, 0b11])
 
 
 def test_boolean_rejects_non_distributive_verdict_without_witness():
     # an order with the atoms no longer under the top: top becomes
-    # join-irreducible and not join-prime, and the disjointness law fails,
-    # while the untouched meet and join tables have no witness triple
+    # join-irreducible and not join-prime, while the untouched meet and
+    # join tables have no witness triple
     logic = build_logic(incomparability_orthoset(antichain(2)))
     assert logic.leq == (0b1111, 0b1010, 0b1100, 0b1000)
     bad = dataclasses.replace(logic, leq=(0b1111, 0b0010, 0b0100, 0b1000))

@@ -9,7 +9,7 @@ import pytest
 
 from orthoposet import orthoset
 from orthoposet.catalog import path_orthoset
-from orthoposet.census import random_orthoset
+from orthoposet.census import _poset_classes, random_orthoset
 from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
                                SizeLimitError)
 from orthoposet.logic import build_logic
@@ -18,8 +18,9 @@ from orthoposet.orthoset import (Orthoset, bases, double_perp,
                                  is_dacey, is_orthoclosed, orthoset_from_pairs,
                                  perp, perp_table, validate_orthoset)
 
-from oracles import (brute_closed_sets, brute_maximal_cliques, brute_perp,
-                     dacey_subset_checks, is_dacey_subset,
+from oracles import (brute_closed_sets, brute_compatible_pair,
+                     brute_maximal_cliques, brute_perp, dacey_subset_checks,
+                     incomparability_adj, is_dacey_subset,
                      mutual_perp_condition, orthocomplement_pair_check)
 
 
@@ -221,6 +222,20 @@ def test_compatible_witness_is_least():
     comp = orthoset_from_pairs(4, [(i, j) for i in range(4)
                                    for j in range(i + 1, 4)])
     assert is_compatible(comp) == (True, None)
+
+
+def test_compatible_against_bound_oracle():
+    # every poset class to n = 6, then random orthosets beyond posets
+    orthosets = [Orthoset(incomparability_adj(n, up))
+                 for n, classes in _poset_classes(6) for up, _ in classes]
+    orthosets += [random_orthoset(seed % 9 + 1, seed + 1100)
+                  for seed in range(80)]
+    verdicts = set()
+    for o in orthosets:
+        pair = brute_compatible_pair(o.adj, o.n)
+        assert is_compatible(o) == (pair is None, pair)
+        verdicts.add(pair is None)
+    assert verdicts == {False, True}
 
 
 def test_mutual_perp_characterization():

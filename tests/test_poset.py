@@ -115,6 +115,17 @@ def test_derived_rows_are_cached_and_invisible():
                    for name in DERIVED)
 
 
+def test_default_labels_are_shared_per_size():
+    # every poset of one size built without labels holds the same tuple,
+    # which changes nothing a caller can compare, hash or pickle
+    p, q = from_up_rows((0b10, 0)), from_up_rows((0, 0))
+    assert p.labels is q.labels and p.labels == ("0", "1")
+    assert from_up_rows((0, 0, 0)).labels == ("0", "1", "2")
+    fresh = Poset(p.up, ("0", "1"))
+    assert p == fresh and hash(p) == hash(fresh)
+    assert pickle.loads(pickle.dumps(p)) == fresh
+
+
 def test_validate_catches_corruption():
     p = n_poset()
     bad = dataclasses.replace(p, up=(0b0100, 0b1100, 0b0001, 0))
