@@ -24,8 +24,7 @@ from .errors import (CycleError, NotOrthoclosedError, OrthoposetError,
                      PosetSyntaxError, SizeLimitError, UnknownElementError)
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
                         serialize_poset_file)
-from .logic import (AxiomReport, Logic, build_logic, is_boolean,
-                    is_orthomodular, verify_ortholattice)
+from .logic import Logic, build_logic, is_boolean, is_orthomodular
 from .npatterns import (NWitness, chain_antichain_property, find_covering_n,
                         find_n, find_weak_n, is_n_free)
 from .orthoset import (Orthoset, bases, double_perp, enumerate_orthoclosed,
@@ -37,7 +36,7 @@ from .poset import (Poset, covers, dual, from_up_rows, incomparable, leq, lt,
 from .report import Report, build_report, emit_json_report
 
 __all__ = [
-    "AxiomReport", "CensusSummary", "CycleError", "Logic",
+    "CensusSummary", "CycleError", "Logic",
     "NotOrthoclosedError", "NWitness", "Orthoset", "OrthoposetError",
     "Poset", "PosetSyntaxError", "Report", "SizeLimitError",
     "TheoremReport", "UnknownElementError",
@@ -55,6 +54,6 @@ __all__ = [
     "path_orthoset", "perp", "poset_from_covers", "random_orthoset",
     "random_poset", "search_counterexample", "serialize_poset_file",
     "strict_comparability_orthoset", "subset_labels", "ud_decomposition",
-    "validate_orthoset", "validate_poset", "verify_ortholattice",
+    "validate_orthoset", "validate_poset",
     "verify_theorems", "weak_nfree_incompatible",
 ]

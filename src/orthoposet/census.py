@@ -321,9 +321,10 @@ def verify_theorems(p: Poset,
                                       find_weak_n(p)) if w is not None}
     o = incomparability_orthoset(p)
     family = enumerate_orthoclosed(o)
+    # the lattice cap is checked before the Dacey scan walks the family
+    logic = _logic_from_family(o, family, max_lattice)
     found["dacey"] = _dacey(o, family)[1]
     found["compatible"] = is_compatible(o)[1]
-    logic = _logic_from_family(o, family, max_lattice)
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),
                            ("boolean", is_boolean(logic))):

@@ -118,7 +118,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if lattice:
             sp.add_argument("--max-lattice", type=int,
                             default=DEFAULT_MAX_LATTICE,
-                            help="largest logic tabulated (default %(default)s)")
+                            help="most orthoclosed sets in a logic "
+                                 "(default %(default)s)")
 
     sp = sub.add_parser("analyze", help="full report for one poset file")
     sp.add_argument("file", help="poset file, or - for stdin")

@@ -2,38 +2,43 @@
 
 Orthoclosed sets ordered by inclusion form a complete lattice with
 intersection as meet and double-perp of union as join; the perp is an
-orthocomplementation.  Everything here is tabulated once at construction:
-elements are masks in ascending order, all relations and operations are
-stored by element index.  Each fact has one formula here: joins are
-tabulated by De Morgan from the meets, in O(m**2), and Booleanness is
-decided by Birkhoff's test, every join-irreducible element join-prime, in
-at most O(m**2) join lookups; only a logic that is not Boolean pays the
-m**3 scan for its witness.  The second formulations (the double perp of
-the union, the distributive law on every triple) are the test oracles.
+orthocomplementation.  A Logic holds only its orthoset and its elements,
+the orthoclosed masks in ascending order, and is decided on those masks:
+meet is &, the orthocomplement is the perp, and each join is taken by De
+Morgan, as the perp of the meet of the perps.  Booleanness is decided by
+Birkhoff's test, every join-irreducible element join-prime, on the point
+closures alone, in O(n**2) perps; only a logic that is not Boolean is
+scanned, in one row of m**2 pairs, for its witness.  The m x m tables of
+order, meet, join and orthocomplement are built on first read, for the
+`logic` command and the DOT lattice.  The second formulations (the double
+perp of the union, the distributive law on every triple) are the test
+oracles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
-from operator import itemgetter
 
-from .bitset import bits
 from .errors import SizeLimitError
-from .orthoset import Orthoset, enumerate_orthoclosed, perp
+from .orthoset import Orthoset, double_perp, enumerate_orthoclosed, perp
+from .poset import cached
 
 DEFAULT_MAX_LATTICE = 4096
 
 
 @dataclass(frozen=True)
 class Logic:
-    """Finite ortholattice given by tables over element indices."""
+    """Finite ortholattice of the orthoclosed sets of an orthoset.
 
-    elements: tuple[int, ...]        # orthoclosed masks, ascending
-    leq: tuple[int, ...]             # leq[i] bit j set iff element i <= element j
-    ocompl: tuple[int, ...]          # index of the orthocomplement
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
+    Only the orthoset and the elements, orthoclosed masks in ascending
+    order, are stored; the tables over element indices are built on first
+    read, and the decision procedures never read them.
+    """
+
+    orthoset: Orthoset
+    elements: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -47,15 +52,52 @@ class Logic:
     def top(self) -> int:
         return len(self.elements) - 1
 
+    @cached
+    def _index(self) -> dict[int, int]:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    @cached
+    def _perp(self) -> dict[int, int]:
+        # the perp of each element by its mask; meets of elements are
+        # elements, so the decision procedures look their perps up here
+        return {e: perp(self.orthoset, e) for e in self.elements}
+
+    @cached
+    def ocompl(self) -> tuple[int, ...]:
+        """Index of the orthocomplement of each element."""
+        index = self._index
+        return tuple(index[perp(self.orthoset, e)] for e in self.elements)
+
+    @cached
+    def leq(self) -> tuple[int, ...]:
+        """leq[i] has bit j set iff element i <= element j."""
+        pow2 = [1 << j for j in range(self.m)]
+        return tuple(sum(compress(pow2, [t == e for t in
+                                         map(e.__and__, self.elements)]))
+                     for e in self.elements)
+
+    @cached
+    def meet(self) -> tuple[tuple[int, ...], ...]:
+        """meet[i][j] is the index of the intersection."""
+        get = self._index.__getitem__
+        return tuple(tuple(map(get, map(e.__and__, self.elements)))
+                     for e in self.elements)
+
+    @cached
+    def join(self) -> tuple[tuple[int, ...], ...]:
+        """join[i][j] by De Morgan, the perp of the meet of the perps."""
+        meet, ocompl = self.meet, self.ocompl
+        return tuple(tuple([ocompl[meet[c][d]] for d in ocompl])
+                     for c in ocompl)
+
 
 def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
-    """Tabulate the logic of o.
+    """The logic of o, on its orthoclosed family.
 
     Orthocomplements and meets (intersections of closed sets are closed)
-    must land back in the family.  Each join is taken by De Morgan, as the
-    orthocomplement of the meet of the orthocomplements, so it is a table
-    lookup and the whole tabulation costs O(m**2).  Raises SizeLimitError
-    when the family is larger than max_lattice.
+    are checked to land back in the family, in O(m**2) set lookups; no
+    table is built.  Raises SizeLimitError when the family is larger than
+    max_lattice.
     """
     return _logic_from_family(o, enumerate_orthoclosed(o), max_lattice)
 
@@ -65,113 +107,37 @@ def _logic_from_family(o: Orthoset, elements: list[int],
     m = len(elements)
     if m > max_lattice:
         raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
-    index = {e: i for i, e in enumerate(elements)}
-    get = index.get
-    pow2 = [1 << j for j in range(m)]
-
-    ocompl = [get(perp(o, e)) for e in elements]
-    if None in ocompl:
-        raise AssertionError(
-            f"perp of element {ocompl.index(None)} left the family")
-
-    leq = []
-    meet = []
-    for i, ei in enumerate(elements):
-        inter = [ei & ej for ej in elements]
-        leq.append(sum(compress(pow2, [t == ei for t in inter])))
-        mrow = tuple(map(get, inter))
-        if None in mrow:
-            raise AssertionError(f"meet of elements {i}, "
-                                 f"{mrow.index(None)} is not orthoclosed")
-        meet.append(mrow)
-
-    # De Morgan: the join is the perp of the intersection of the perps
-    join = []
-    for c in ocompl:
-        row = meet[c]
-        join.append(tuple([ocompl[row[d]] for d in ocompl]))
-
-    return Logic(tuple(elements), tuple(leq), tuple(ocompl),
-                 tuple(meet), tuple(join))
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    """Outcome of verify_ortholattice: per-axiom pass/fail with witnesses."""
-
-    ok: bool
-    failures: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def failed_axioms(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.failures)
-
-
-def verify_ortholattice(l: Logic) -> AxiomReport:
-    """Check every ortholattice axiom, recording the first witness per axiom.
-
-    Covers: complements of the bounds, involution, antitonicity, both
-    De Morgan laws, meet and join with the complement, and agreement of the
-    stored order with the meet table.
-    """
-    m = l.m
-    bot, top = l.bottom, l.top
-    failures: list[tuple[str, tuple[int, ...]]] = []
-
-    if l.ocompl[bot] != top or l.ocompl[top] != bot:
-        failures.append(("bounds_complement", ()))
-    for i in range(m):
-        if l.ocompl[l.ocompl[i]] != i:
-            failures.append(("involution", (i,)))
-            break
-    for i in range(m):
-        hit = None
-        for j in bits(l.leq[i]):
-            if not l.leq[l.ocompl[j]] >> l.ocompl[i] & 1:
-                hit = (i, j)
-                break
-        if hit:
-            failures.append(("antitone", hit))
-            break
-
-    def first_pair(bad) -> tuple[int, int] | None:
-        for i in range(m):
-            for j in range(m):
-                if bad(i, j):
-                    return i, j
-        return None
-
-    w = first_pair(lambda i, j:
-                   l.ocompl[l.join[i][j]] != l.meet[l.ocompl[i]][l.ocompl[j]])
-    if w:
-        failures.append(("de_morgan_join", w))
-    w = first_pair(lambda i, j:
-                   l.ocompl[l.meet[i][j]] != l.join[l.ocompl[i]][l.ocompl[j]])
-    if w:
-        failures.append(("de_morgan_meet", w))
-    for i in range(m):
-        if l.meet[i][l.ocompl[i]] != bot:
-            failures.append(("complement_meet", (i,)))
-            break
-    for i in range(m):
-        if l.join[i][l.ocompl[i]] != top:
-            failures.append(("complement_join", (i,)))
-            break
-    w = first_pair(lambda i, j:
-                   (l.meet[i][j] == i) != bool(l.leq[i] >> j & 1))
-    if w:
-        failures.append(("order_matches_meet", w))
-
-    return AxiomReport(not failures, tuple(failures))
+    family = frozenset(elements)
+    for i, e in enumerate(elements):
+        if perp(o, e) not in family:
+            raise AssertionError(f"perp of element {i} left the family")
+    # meets are symmetric, so the first failing row fails at or after its
+    # own index; within that row the first failing column is named
+    for i, e in enumerate(elements):
+        if not family.issuperset([e & f for f in elements[i:]]):
+            j = next(j for j, f in enumerate(elements) if e & f not in family)
+            raise AssertionError(
+                f"meet of elements {i}, {j} is not orthoclosed")
+    return Logic(o, tuple(elements))
 
 
 def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
-    """Decide x <= y implies y = x join (y meet x-compl); lex-least witness."""
-    for i in range(l.m):
-        ci = l.ocompl[i]
-        for j in bits(l.leq[i]):
-            if j == i:
-                continue
-            if l.join[i][l.meet[j][ci]] != j:
+    """Decide x <= y implies y = x join (y meet x-compl); lex-least witness.
+
+    Runs on masks: for each x, the elements above it are picked out at C
+    speed.  The join x v (y & perp x) is perp(perp x & perp(y & perp x))
+    by De Morgan, and it equals y iff perp x & perp(y & perp x) equals
+    perp y, since the perp is a bijection on closed sets.  The scan stops
+    at the first failing pair.
+    """
+    elements, perps = l.elements, l._perp
+    for i, x in enumerate(elements):
+        px = perps[x]
+        above = compress(range(i + 1, l.m),
+                         map(x.__eq__, map(x.__and__, elements[i + 1:])))
+        for j in above:
+            y = elements[j]
+            if px & perps[y & px] != perps[y]:
                 return False, (i, j)
     return True, None
 
@@ -180,51 +146,57 @@ def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
     """Decide distributivity; lex-least witness triple.
 
     The verdict is Birkhoff's: a finite lattice is distributive iff every
-    join-irreducible element is join-prime.  That takes O(m) join lookups
-    per element, so at most O(m**2).  Only a non-distributive logic is
-    scanned for its witness, and the scan, up to m**3 lookups, is asserted
-    to find one.
+    join-irreducible element is join-prime.  Every orthoclosed set is the
+    join of the point closures cl(x) = perp(adj[x]) of its points, so:
+
+    - the join-irreducibles are point closures, and c = cl(x) is one iff c
+      is not the join of the point closures strictly inside it;
+    - c is join-prime iff c is not below the join of the point closures
+      that do not contain it, since every element not above c is a join of
+      such closures.
+
+    That costs O(n**2) perps on an orthoset of n points.  The lex-least
+    witness (i, j, k), x_i meet (x_j join x_k) unequal to (x_i meet x_j)
+    join (x_i meet x_k), lies in the row i of the least join-irreducible c
+    that is not join-prime, so only that row is scanned, m**2 pairs at
+    most:
+
+    - row i has a witness: c <= a join b with neither a nor b above c, and
+      c is join-irreducible, so c meet (a join b) = c while (c meet a) join
+      (c meet b) lies strictly below c;
+    - no earlier row has one: if (i', j, k) fails, put d = x_i' meet (x_j
+      join x_k), so (d, j, k) fails too.  Some join-irreducible below d is
+      not below (x_i' meet x_j) join (x_i' meet x_k), and it is not
+      join-prime, being below x_j join x_k but below neither.  It lies
+      inside x_i', so c, the least such mask, is at most x_i' as a number
+      and i is at most i'.
+
+    The scan is asserted to find its witness.
     """
-    if _join_irreducibles_are_prime(l):
+    elements = l.elements
+    c = _first_non_prime(l.orthoset)
+    if c is None:
         return True, None
-    witness = _distributivity_witness(l)
-    if witness is None:
-        raise AssertionError("no witness for a non-distributive logic")
-    return False, witness
+    perps = l._perp
+    pairs = [(perps[x], perps[c & x]) for x in elements]
+    for j, (pj, qj) in enumerate(pairs):
+        for k, (pk, qk) in enumerate(pairs):
+            if c & perps[pj & pk] != perps[qj & qk]:
+                return False, (bisect_left(elements, c), j, k)
+    raise AssertionError("no witness for a non-distributive logic")
 
 
-def _join_irreducibles_are_prime(l: Logic) -> bool:
-    # j is join-irreducible iff the join of the elements strictly below it
-    # is not j, and join-prime iff the join of all x with j not <= x is
-    # still not >= j.  below[j] is built by joining each x into every
-    # element strictly above it
-    join, leq = l.join, l.leq
-    below = [l.bottom] * l.m
-    for x, up in enumerate(leq):
-        for j in bits(up & ~(1 << x)):
-            below[j] = join[below[j]][x]
-    everything = (1 << l.m) - 1
-    for j, up in enumerate(leq):
-        if below[j] == j:
-            continue
-        acc = l.bottom
-        for x in bits(everything & ~up):
-            acc = join[acc][x]
-        if up >> acc & 1:
-            return False
-    return True
-
-
-def _distributivity_witness(l: Logic) -> tuple[int, int, int] | None:
-    # for each i and j, the row over k of i meet (j join k) is compared
-    # whole against that of (i meet j) join (i meet k), at C speed; k is
-    # scanned only in the first row that differs, to name the witness
-    through_join = [itemgetter(*row) for row in l.join]
-    for i, mi in enumerate(l.meet):
-        over_meet = itemgetter(*mi)
-        for j, mij in enumerate(mi):
-            if through_join[j](mi) != over_meet(l.join[mij]):
-                jj, jm = l.join[j], l.join[mij]
-                k = next(k for k in range(l.m) if mi[jj[k]] != jm[mi[k]])
-                return i, j, k
+def _first_non_prime(o: Orthoset) -> int | None:
+    # the least-mask join-irreducible that is not join-prime, or None when
+    # every join-irreducible is join-prime; see is_boolean
+    closures = sorted({perp(o, row) for row in o.adj})
+    for c in closures:
+        inside = away = 0
+        for d in closures:
+            if d != c and not d & ~c:
+                inside |= d
+            if c & ~d:
+                away |= d
+        if double_perp(o, inside) != c and not c & ~double_perp(o, away):
+            return c
     return None

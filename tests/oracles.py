@@ -7,18 +7,22 @@ against them on inputs small enough for 2**n or n**4 scans.  Where the
 package decides a fact by one formula, the oracle is its second
 formulation: joins as the double perp of the union (brute_join_table),
 Booleanness as the distributive law on every triple
-(brute_distributivity_witness) and compatibility as a common bound of the
-two perps (brute_compatible_pair).  The last section is the exception: the
-three basis criteria of the Dacey property and the mutual-perp check are
-stated on top of the package's perp and bases, so that tests can check the
-formulations against each other, against is_dacey and against
-mutual_perp_condition.
+(brute_distributivity_witness), orthomodularity as the orthomodular law on
+every comparable pair of closed sets (brute_orthomodular_witness) and
+compatibility as a common bound of the two perps (brute_compatible_pair).
+The last two sections are the exceptions.  The three basis criteria of the
+Dacey property and the mutual-perp check are stated on top of the
+package's perp and bases, so that tests can check the formulations against
+each other, against is_dacey and against mutual_perp_condition.  The
+ortholattice axiom check reads the tables a Logic builds on first read, so
+that tests can hold those tables to the axioms.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -218,6 +222,26 @@ def brute_distributivity_witness(adj: tuple[int, ...], n: int,
     return None
 
 
+def brute_orthomodular_witness(adj: tuple[int, ...], n: int,
+                               ) -> tuple[int, int] | None:
+    """Lex-least (i, j) with x_i a proper subset of x_j and the double perp
+    of x_i | (x_j & perp x_i) unequal to x_j, or None when the logic is
+    orthomodular.
+
+    Indices refer to the closed sets in ascending mask order; every pair is
+    evaluated directly on masks, m**2 pairs.
+    """
+    closed = brute_closed_sets(adj, n)
+    for i, x in enumerate(closed):
+        px = brute_perp(adj, n, x)
+        for j, y in enumerate(closed):
+            if x & ~y or x == y:
+                continue
+            if brute_perp(adj, n, brute_perp(adj, n, x | y & px)) != y:
+                return i, j
+    return None
+
+
 def brute_join_table(adj: tuple[int, ...], n: int) -> list[list[int]]:
     """Join of every pair of closed sets, as masks: the double perp of the
     union, in ascending mask order of the closed sets."""
@@ -290,3 +314,75 @@ def is_dacey_subset(o: Orthoset, x: int) -> bool:
 def orthocomplement_pair_check(o: Orthoset, x: int, y: int) -> bool:
     """True iff x and y are mutual perps, hence both orthoclosed."""
     return perp(o, x) == y and perp(o, y) == x
+
+
+# ------------------------------------------------- ortholattice axioms
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """Outcome of verify_ortholattice: per-axiom pass/fail with witnesses."""
+
+    ok: bool
+    failures: tuple[tuple[str, tuple[int, ...]], ...]
+
+    def failed_axioms(self) -> tuple[str, ...]:
+        return tuple(name for name, _ in self.failures)
+
+
+def verify_ortholattice(l) -> AxiomReport:
+    """Check every ortholattice axiom on the tables of a Logic, recording
+    the first witness per axiom.
+
+    Covers: complements of the bounds, involution, antitonicity, both
+    De Morgan laws, meet and join with the complement, and agreement of the
+    stored order with the meet table.
+    """
+    m = l.m
+    bot, top = l.bottom, l.top
+    failures: list[tuple[str, tuple[int, ...]]] = []
+
+    if l.ocompl[bot] != top or l.ocompl[top] != bot:
+        failures.append(("bounds_complement", ()))
+    for i in range(m):
+        if l.ocompl[l.ocompl[i]] != i:
+            failures.append(("involution", (i,)))
+            break
+    for i in range(m):
+        hit = None
+        for j in members(l.leq[i], m):
+            if not l.leq[l.ocompl[j]] >> l.ocompl[i] & 1:
+                hit = (i, j)
+                break
+        if hit:
+            failures.append(("antitone", hit))
+            break
+
+    def first_pair(bad) -> tuple[int, int] | None:
+        for i in range(m):
+            for j in range(m):
+                if bad(i, j):
+                    return i, j
+        return None
+
+    w = first_pair(lambda i, j:
+                   l.ocompl[l.join[i][j]] != l.meet[l.ocompl[i]][l.ocompl[j]])
+    if w:
+        failures.append(("de_morgan_join", w))
+    w = first_pair(lambda i, j:
+                   l.ocompl[l.meet[i][j]] != l.join[l.ocompl[i]][l.ocompl[j]])
+    if w:
+        failures.append(("de_morgan_meet", w))
+    for i in range(m):
+        if l.meet[i][l.ocompl[i]] != bot:
+            failures.append(("complement_meet", (i,)))
+            break
+    for i in range(m):
+        if l.join[i][l.ocompl[i]] != top:
+            failures.append(("complement_join", (i,)))
+            break
+    w = first_pair(lambda i, j:
+                   (l.meet[i][j] == i) != bool(l.leq[i] >> j & 1))
+    if w:
+        failures.append(("order_matches_meet", w))
+
+    return AxiomReport(not failures, tuple(failures))

@@ -122,6 +122,21 @@ def test_wrong_boolean_verdict_is_a_violation(p, patched, expected,
     assert verify_theorems(p).violations == expected
 
 
+def test_lattice_cap_is_checked_before_the_dacey_scan(monkeypatch):
+    # the logic of diamond22 has 6 elements; past the cap nothing walks
+    # the family for Dacey before the error
+    calls = []
+    dacey = census._dacey
+    monkeypatch.setattr(census, "_dacey",
+                        lambda *args: calls.append(args) or dacey(*args))
+    with pytest.raises(SizeLimitError,
+                       match=r"^logic has 6 elements, cap is 4$"):
+        verify_theorems(diamond22(), max_lattice=4)
+    assert calls == []
+    verify_theorems(diamond22())
+    assert len(calls) == 1
+
+
 def test_census_small_counts():
     summaries = census_run(4)
     rows = [(s.n, s.total_posets, s.n_free, s.weak_n_free, s.dacey,

@@ -1,0 +1,41 @@
+"""Full SHA-256 digests of outputs that changes to the kernel must not move.
+
+The census to n = 6 is pinned through the CLI with one and with two
+workers.  The two random posets have non-Boolean logics of 3072 and 2880
+elements, so they also bound the time of the Boolean witness search;
+antichain(11) has the 2048-element Boolean algebra as its logic.
+"""
+
+import hashlib
+
+from orthoposet.catalog import antichain
+from orthoposet.census import random_poset
+from orthoposet.cli import main
+from orthoposet.report import build_report, emit_json_report
+
+CENSUS_6 = "c4d0894580d1c528fd40870425bcd51cba0123b02431a08dc4e105e71c8f84d8"
+ANALYZE = {
+    "random_poset(16, 3, 0.05)": (
+        lambda: random_poset(16, 3, 0.05),
+        "a4666bcb13b6ea4da588d24a5d20de9160c48094a85d1a02920ff341e4e148a7"),
+    "random_poset(16, 2, 0.1)": (
+        lambda: random_poset(16, 2, 0.1),
+        "30f7f68d49d0d6169b8facbe69b9c3ba5d25027475476cec0ae9cea6655b84b1"),
+    "antichain(11)": (
+        lambda: antichain(11),
+        "1fbfad46482b5b7acb561e8ab1c0d5680a63b73745d3092aeba5fed73906d4a8"),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_pinned_output_digests(capsys):
+    for workers in ("1", "2"):
+        # the census to n = 6 reports the weak-N-free refutation, so exit 1
+        assert main(["census", "--max-n", "6", "--workers", workers]) == 1
+        assert _sha256(capsys.readouterr().out) == CENSUS_6, workers
+    for name, (make, digest) in ANALYZE.items():
+        report = build_report(make())
+        assert _sha256(emit_json_report(report)) == digest, name

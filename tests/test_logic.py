@@ -1,7 +1,5 @@
 """Logic construction, ortholattice axioms, orthomodularity, Booleanness."""
 
-import dataclasses
-
 import pytest
 
 from orthoposet.bridges import incomparability_orthoset
@@ -11,12 +9,14 @@ from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
 from orthoposet.census import (_enumerate_rows, _poset_classes,
                                random_orthoset)
 from orthoposet.errors import SizeLimitError
+from orthoposet import logic as logic_module
 from orthoposet.logic import (_logic_from_family, build_logic, is_boolean,
-                              is_orthomodular, verify_ortholattice)
+                              is_orthomodular)
 from orthoposet.orthoset import Orthoset
 
 from oracles import (brute_distributivity_witness, brute_join_table,
-                     incomparability_adj)
+                     brute_orthomodular_witness, incomparability_adj,
+                     verify_ortholattice)
 
 
 def test_hexagon_logic():
@@ -92,11 +92,14 @@ def test_axioms_hold_on_random_logics():
 
 def test_axiom_report_flags_tampering():
     logic = build_logic(incomparability_orthoset(diamond22()))
-    # swap the complements of the two atoms of the first pair
+    # swap the complements of the two atoms of the first pair.  The tables
+    # are cached in the instance dict, so the tampered one planted there
+    # is read; meet and join are built first, from the true complements
+    assert logic.join and logic.meet
     oc = list(logic.ocompl)
     oc[1], oc[2] = oc[2], oc[1]
-    bad = dataclasses.replace(logic, ocompl=tuple(oc))
-    report = verify_ortholattice(bad)
+    logic.__dict__["ocompl"] = tuple(oc)
+    report = verify_ortholattice(logic)
     assert not report.ok
     assert "complement_meet" in report.failed_axioms()
 
@@ -127,9 +130,12 @@ def test_lattice_size_cap():
 
 
 def _assert_logic_matches_oracles(o: Orthoset):
-    """Booleanness and the join table of o's logic against the oracles;
-    returns the logic and the oracle's distributivity witness."""
+    """Orthomodularity, Booleanness and the join table of o's logic against
+    the oracles; returns the logic and the oracle's distributivity
+    witness."""
     logic = build_logic(o)
+    oml = brute_orthomodular_witness(o.adj, o.n)
+    assert is_orthomodular(logic) == (oml is None, oml)
     witness = brute_distributivity_witness(o.adj, o.n)
     assert is_boolean(logic) == (witness is None, witness)
     assert [[logic.elements[k] for k in row] for row in logic.join] \
@@ -185,13 +191,26 @@ def test_logic_rejects_perp_outside_family():
         _logic_from_family(Orthoset((0b10, 0b01)), [0b00, 0b01, 0b11])
 
 
-def test_boolean_rejects_non_distributive_verdict_without_witness():
-    # an order with the atoms no longer under the top: top becomes
-    # join-irreducible and not join-prime, while the untouched meet and
-    # join tables have no witness triple
+def test_boolean_rejects_non_distributive_verdict_without_witness(
+        monkeypatch):
+    # Birkhoff's helper patched to name an atom of the four-element Boolean
+    # algebra: the atom is join-prime, so its row has no witness triple
     logic = build_logic(incomparability_orthoset(antichain(2)))
-    assert logic.leq == (0b1111, 0b1010, 0b1100, 0b1000)
-    bad = dataclasses.replace(logic, leq=(0b1111, 0b0010, 0b0100, 0b1000))
+    assert logic.elements == (0b00, 0b01, 0b10, 0b11)
+    assert is_boolean(logic) == (True, None)
+    monkeypatch.setattr(logic_module, "_first_non_prime", lambda o: 0b01)
     with pytest.raises(AssertionError,
                        match=r"no witness for a non-distributive logic"):
-        is_boolean(bad)
+        is_boolean(logic)
+
+
+@pytest.mark.parametrize("p", [antichain(4), n_poset()],
+                         ids=["antichain4", "n_poset"])
+def test_decisions_build_no_tables(p):
+    # orthomodularity and Booleanness run on the masks; the tables stay
+    # unbuilt until something reads them
+    logic = build_logic(incomparability_orthoset(p))
+    is_orthomodular(logic)
+    is_boolean(logic)
+    assert not {"ocompl", "leq", "meet", "join"} & logic.__dict__.keys()
+    assert logic.meet and "meet" in logic.__dict__
