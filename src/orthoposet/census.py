@@ -32,8 +32,10 @@ labeled census would report it.  Shards are contiguous chunks of each
 size's class list, so any worker count gives identical summaries.
 
 The labeled enumeration, one-element extension in a fixed order, is the
-public enumerate_labeled_posets.  The search returns, among the labelings
-of its hits, the one this enumeration reaches first.
+public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
+one of its down-sets and below one of its up-sets.  Both generators list
+these sets by one helper, _closed_sets.  The search returns, among the
+labelings of its hits, the one this enumeration reaches first.
 """
 
 from __future__ import annotations
@@ -104,69 +106,53 @@ class TheoremReport:
     witnesses: dict[str, tuple[int, ...]]
 
 
+def _closed_sets(rows: Sequence[int]) -> list[int]:
+    """The masks d with rows[x] inside d for every x in d, ascending.
+
+    Down rows give the down-sets and up rows the up-sets.  closure[d] is d
+    with the rows of its members added, built by doubling: the masks with
+    top bit x are those without it, each joined with row x and bit x.
+    """
+    closure = [0]
+    for x, row in enumerate(rows):
+        closure += [c | row | 1 << x for c in closure]
+    return [d for d, c in enumerate(closure) if c == d]
+
+
 def _enumerate_rows(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the up rows of every labeled poset on n elements.
 
-    Element k is added with its above-set and then its below-set among
-    0..k-1, each in ascending mask order, so the posets come in ascending
-    order of _enumeration_key.
+    Element k is added to the poset on 0..k-1 with an up-set a above it
+    and a down-set b below it, each in ascending mask order, so the posets
+    come in ascending order of _enumeration_key.  The pair is kept when a
+    and b are disjoint and everything in a is above everything in b.
     """
-    up = [0] * n
-    dn = [0] * n
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
+    def rec(up: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        k = len(up)
         if k == n:
-            yield tuple(up)
+            yield up
             return
-        fullk = (1 << k) - 1
-        aboves = [a for a in range(fullk + 1)
-                  if all(not (a >> j & 1 and up[j] & ~a) for j in range(k))]
-        belows = [b for b in range(fullk + 1)
-                  if all(not (b >> j & 1 and dn[j] & ~b) for j in range(k))]
-        for a in aboves:
-            for b in belows:
-                if a & b:
-                    continue
-                # order through the new element: everything below it must
-                # already be under everything above it
-                ok = True
-                for j in bits(b):
-                    if a & ~up[j]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                up[k] = a
-                dn[k] = b
-                for x in bits(a):
-                    dn[x] |= 1 << k
-                for x in bits(b):
-                    up[x] |= 1 << k
-                yield from rec(k + 1)
-                for x in bits(a):
-                    dn[x] &= ~(1 << k)
-                for x in bits(b):
-                    up[x] &= ~(1 << k)
-                up[k] = 0
-                dn[k] = 0
+        downs = _closed_sets(_transpose(up, k))
+        for a in _closed_sets(up):
+            # the elements below all of a; none is in a, as up rows are strict
+            under = sum(1 << j for j, r in enumerate(up) if not a & ~r)
+            for b in downs:
+                if not b & ~under:
+                    yield from rec(tuple([r | 1 << k if b >> j & 1 else r
+                                          for j, r in enumerate(up)]) + (a,))
 
-    yield from rec(0)
+    return rec(())
 
 
 def enumerate_labeled_posets(n: int, cap: int = DEFAULT_CENSUS_CAP) -> Iterator[Poset]:
     """Every labeled poset on n elements, each exactly once, in a fixed order.
 
     Raises OrthoposetError if n is negative and SizeLimitError when n
-    exceeds cap; pass a larger cap knowingly (the count grows
-    superexponentially: 130023 at n=6, 6129859 at n=7).
+    exceeds cap, both at the call; pass a larger cap knowingly (the count
+    grows superexponentially: 130023 at n=6, 6129859 at n=7).
     """
-    if n < 0:
-        raise OrthoposetError(f"poset size must be non-negative, got {n}")
-    if n > cap:
-        raise SizeLimitError(
-            f"enumerating posets on {n} elements exceeds cap {cap}")
-    for up in _enumerate_rows(n):
-        yield from_up_rows(up, check=False)
+    _check_max_n("enumeration", n, cap)
+    return (from_up_rows(up, check=False) for up in _enumerate_rows(n))
 
 
 def _enumeration_key(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -250,13 +236,7 @@ def _poset_classes(max_n: int,
         top = 1 << (n - 1)
         found = {}
         for up, _ in level:
-            # closure[d] is the down-closure of d, built by doubling
-            closure = [0]
-            for x, row in enumerate(_transpose(up, n - 1)):
-                closure += [c | row | 1 << x for c in closure]
-            for d in range(top):
-                if closure[d] != d:
-                    continue  # not a down-set
+            for d in _closed_sets(_transpose(up, n - 1)):
                 rows, aut = _canonical(
                     [r | top if d >> x & 1 else r for x, r in enumerate(up)]
                     + [0])

@@ -60,7 +60,16 @@ def parse_poset_file(text: str,
 
 
 def serialize_poset_file(p: Poset) -> str:
-    """Round-trippable text for p: element lines, then cover lines."""
+    """Round-trippable text for p: element lines, then cover lines.
+
+    Raises ValueError on the first label the grammar cannot carry: one
+    that is empty or holds whitespace or '#'.
+    """
+    for name in p.labels:
+        if not name or "#" in name or any(map(str.isspace, name)):
+            raise ValueError(
+                f"label {name!r} cannot be written: names must be non-empty, "
+                f"without whitespace or '#'")
     out = [f"element {p.labels[i]}" for i in range(p.n)]
     for x in range(p.n):
         for y in bits(p.cover_up[x]):

@@ -65,8 +65,8 @@ class Logic:
     @cached
     def ocompl(self) -> tuple[int, ...]:
         """Index of the orthocomplement of each element."""
-        index = self._index
-        return tuple(index[perp(self.orthoset, e)] for e in self.elements)
+        index, perps = self._index, self._perp
+        return tuple(index[perps[e]] for e in self.elements)
 
     @cached
     def leq(self) -> tuple[int, ...]:
@@ -107,10 +107,11 @@ def _logic_from_family(o: Orthoset, elements: list[int],
     m = len(elements)
     if m > max_lattice:
         raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
-    family = frozenset(elements)
-    for i, e in enumerate(elements):
-        if perp(o, e) not in family:
-            raise AssertionError(f"perp of element {i} left the family")
+    logic = Logic(o, tuple(elements))
+    family, perps = frozenset(elements), logic._perp
+    if not family.issuperset(perps.values()):
+        i = next(i for i, e in enumerate(elements) if perps[e] not in family)
+        raise AssertionError(f"perp of element {i} left the family")
     # meets are symmetric, so the first failing row fails at or after its
     # own index; within that row the first failing column is named
     for i, e in enumerate(elements):
@@ -118,7 +119,7 @@ def _logic_from_family(o: Orthoset, elements: list[int],
             j = next(j for j, f in enumerate(elements) if e & f not in family)
             raise AssertionError(
                 f"meet of elements {i}, {j} is not orthoclosed")
-    return Logic(o, tuple(elements))
+    return logic
 
 
 def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:

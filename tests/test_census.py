@@ -55,6 +55,15 @@ def test_enumeration_rejects_negative_size():
         list(enumerate_labeled_posets(-1))
 
 
+def test_enumeration_refuses_bad_sizes_at_the_call():
+    # the generator is never iterated: the size is checked before it exists
+    with pytest.raises(SizeLimitError, match="enumeration to n=7 exceeds cap 6"):
+        enumerate_labeled_posets(7)
+    with pytest.raises(OrthoposetError,
+                       match="poset size must be non-negative, got -1"):
+        enumerate_labeled_posets(-1)
+
+
 def test_random_generators_are_seeded():
     assert random_poset(8, 4).up == random_poset(8, 4).up
     assert random_poset(8, 4).up != random_poset(8, 5).up

@@ -1,19 +1,21 @@
 """Full SHA-256 digests of outputs that changes to the kernel must not move.
 
 The census to n = 6 is pinned through the CLI with one and with two
-workers.  The two random posets have non-Boolean logics of 3072 and 2880
-elements, so they also bound the time of the Boolean witness search;
-antichain(11) has the 2048-element Boolean algebra as its logic.
+workers, and the labeled enumeration to n = 6 by the up rows of each
+poset in order.  The two random posets have non-Boolean logics of 3072
+and 2880 elements, so they also bound the time of the Boolean witness
+search; antichain(11) has the 2048-element Boolean algebra as its logic.
 """
 
 import hashlib
 
 from orthoposet.catalog import antichain
-from orthoposet.census import random_poset
+from orthoposet.census import enumerate_labeled_posets, random_poset
 from orthoposet.cli import main
 from orthoposet.report import build_report, emit_json_report
 
 CENSUS_6 = "c4d0894580d1c528fd40870425bcd51cba0123b02431a08dc4e105e71c8f84d8"
+LABELED_6 = "93de38b910ee6001e524ae9a43c24b6e254b2fc6e4bf068207c050a9eecd0d2b"
 ANALYZE = {
     "random_poset(16, 3, 0.05)": (
         lambda: random_poset(16, 3, 0.05),
@@ -39,3 +41,10 @@ def test_pinned_output_digests(capsys):
     for name, (make, digest) in ANALYZE.items():
         report = build_report(make())
         assert _sha256(emit_json_report(report)) == digest, name
+
+
+def test_pinned_labeled_sequence():
+    digest = hashlib.sha256()
+    for p in enumerate_labeled_posets(6):
+        digest.update(repr(p.up).encode())
+    assert digest.hexdigest() == LABELED_6

@@ -1,5 +1,7 @@
 """Poset file grammar and DOT output."""
 
+import re
+
 import pytest
 
 from orthoposet.catalog import diamond22, n_poset, weak_nfree_incompatible
@@ -10,6 +12,7 @@ from orthoposet.ioformats import (emit_dot_hasse, emit_dot_lattice,
                                   parse_poset_file, serialize_poset_file)
 from orthoposet.bridges import incomparability_orthoset
 from orthoposet.logic import build_logic
+from orthoposet.poset import poset_from_covers
 
 N_FILE = """\
 # the four-element N
@@ -47,6 +50,14 @@ def test_roundtrip_random():
 
 def test_serialize_empty():
     assert serialize_poset_file(parse_poset_file("")) == ""
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a#b", "a\x1cb"])
+def test_serialize_refuses_labels_that_do_not_parse_back(bad):
+    # "\x1c" is whitespace to str.isspace and a line break to splitlines
+    p = poset_from_covers(2, [(0, 1)], labels=["x", bad])
+    with pytest.raises(ValueError, match=re.escape(f"label {bad!r} cannot")):
+        serialize_poset_file(p)
 
 
 def test_parse_error_line_numbers():
