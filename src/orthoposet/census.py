@@ -24,12 +24,18 @@ search decide one canonical representative per isomorphism class.  The
 classes on n elements are grown from those on n-1 by adding one new maximal
 element above each down-set, and deduplicated by a canonical form: the
 lex-least relabeled up rows over the relabelings that respect an
-iso-invariant colouring.  The relabelings reaching that minimum number
-|Aut|, so a class stands for n!/|Aut| labeled posets (orbit-stabilizer)
-and the census tallies it with that weight.  A class that violates an
-equivalence is expanded into its distinct labelings, each reported as the
-labeled census would report it.  Shards are contiguous chunks of each
-size's class list, so any worker count gives identical summaries.
+iso-invariant colouring of the twin blocks.  The relabelings reaching that
+minimum, times the orders inside the blocks, number |Aut|, so a class
+stands for n!/|Aut| labeled posets (orbit-stabilizer) and the census
+tallies it with that weight.  Which representative the canonical form
+picks is internal: summaries and search results do not depend on it.  A
+class that violates an equivalence is expanded into its distinct
+labelings, each reported as the labeled census would report it.  Shards
+are contiguous chunks of each size's class list, so any worker count
+gives identical summaries.  The census walks every class; the search for
+N-free counterexamples extends only the N-free classes, which reaches
+them all, since deleting a maximal element keeps every cover among the
+rest.
 
 The labeled enumeration, one-element extension in a fixed order, is the
 public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
@@ -43,13 +49,12 @@ from __future__ import annotations
 import os
 import random
 import signal
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import permutations, product
 from math import factorial
 from multiprocessing import Pool
 
-from .bitset import bits
 from .bridges import incomparability_orthoset, strict_comparability_orthoset
 from .errors import OrthoposetError, SizeLimitError
 from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
@@ -165,10 +170,18 @@ def _enumeration_key(up: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def _relabel(up: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     """Up rows of the poset whose element i is element order[i] of up."""
-    pos = [0] * len(order)
+    pos = [0] * len(order)     # pos[x] is the bit of x's place in order
     for i, x in enumerate(order):
-        pos[x] = i
-    return tuple(sum(1 << pos[y] for y in bits(up[x])) for x in order)
+        pos[x] = 1 << i
+    rows = []
+    for x in order:
+        r, row = up[x], 0
+        while r:
+            low = r & -r
+            row |= pos[low.bit_length() - 1]
+            r ^= low
+        rows.append(row)
+    return tuple(rows)
 
 
 def _relabelings(up: Sequence[int]) -> set[tuple[int, ...]]:
@@ -179,38 +192,43 @@ def _relabelings(up: Sequence[int]) -> set[tuple[int, ...]]:
 def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """(canonical up rows, |Aut|) of a poset.
 
-    Each element is coloured by its up and down degree, then repeatedly by
-    the colours of its upper and lower neighbours until the number of
-    colours stops growing, so isomorphic posets get the same colours.
     Twins, elements with equal up and down rows, can swap freely, so each
-    twin class stays together as one block.  The canonical rows are the
-    least _relabel over every order that lists the colours in ascending
-    order and each colour's blocks in any order.  The orders reaching that
-    minimum, times the orders inside the blocks, number |Aut|.
+    twin class stays together as one block, and the colouring runs on one
+    representative per block.  The blocks are coloured by their up and
+    down degree, then repeatedly by their colour and the number of their
+    up-row and of their down-row members in each colour class, until the
+    number of colours stops growing, so isomorphic posets get the same
+    colours.  The canonical rows are the least _relabel over every order
+    that lists the colours in ascending order and each colour's blocks in
+    any order.  The orders reaching that minimum, times the orders inside
+    the blocks, number |Aut|.
     """
     n = len(up)
     down = _transpose(up, n)
-    above = [list(bits(r)) for r in up]
-    below = [list(bits(r)) for r in down]
-    colour = [(len(a), len(b)) for a, b in zip(above, below)]
-    count = len(set(colour))
+    twins: dict[tuple[int, int], list[int]] = {}
+    for x, key in enumerate(zip(up, down)):
+        twins.setdefault(key, []).append(x)
+    blocks = list(twins.values())
+    sig = [(u.bit_count(), d.bit_count()) for u, d in twins]
+    count = 0
     while True:
-        sig = [(c, tuple(sorted([colour[y] for y in a])),
-                tuple(sorted([colour[y] for y in b])))
-               for c, a, b in zip(colour, above, below)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colour = [rank[s] for s in sig]
-        if len(rank) == count:
+        # a colouring with one block per colour cannot grow
+        if len(rank) in (count, len(blocks)):
             break
         count = len(rank)
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for x in range(n):
-        blocks.setdefault((up[x], down[x]), []).append(x)
+        classes = [0] * count
+        for s, b in zip(sig, blocks):
+            for x in b:
+                classes[rank[s]] |= 1 << x
+        sig = [(rank[s], *map(int.bit_count, map(u.__and__, classes)),
+                *map(int.bit_count, map(d.__and__, classes)))
+               for s, (u, d) in zip(sig, twins)]
+    cells: list[list[list[int]]] = [[] for _ in rank]
     swaps = 1
-    for b in blocks.values():
+    for s, b in zip(sig, blocks):
+        cells[rank[s]].append(b)
         swaps *= factorial(len(b))
-    cells = [[b for b in blocks.values() if colour[b[0]] == c]
-             for c in range(count)]
     best, reached = None, 0
     for parts in product(*map(permutations, cells)):
         rows = _relabel(up, [x for part in parts for b in part for x in b])
@@ -221,7 +239,7 @@ def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return best, reached * swaps
 
 
-def _poset_classes(max_n: int,
+def _poset_classes(max_n: int, keep: Callable[[Poset], bool] | None = None,
                    ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]]]]:
     """Yield (n, classes) for n = 1..max_n, one (canonical up rows, |Aut|)
     per isomorphism class of posets on n elements, sorted by rows.
@@ -229,7 +247,11 @@ def _poset_classes(max_n: int,
     Removing a maximal element leaves a poset on n-1 elements with the
     removed element's below-set as a down-set, so adding a new maximal
     element above every down-set of every class on n-1 elements reaches
-    every class on n.
+    every class on n.  With keep, only the classes keep accepts are kept
+    and extended.  keep must be hereditary under deleting a maximal
+    element, as is_n_free is: deleting a maximal element keeps every cover
+    among the others, so an N in P - t is an N in P.  Then every class
+    keep accepts is reached.
     """
     level = [((), 1)]
     for n in range(1, max_n + 1):
@@ -237,10 +259,11 @@ def _poset_classes(max_n: int,
         found = {}
         for up, _ in level:
             for d in _closed_sets(_transpose(up, n - 1)):
-                rows, aut = _canonical(
-                    [r | top if d >> x & 1 else r for x, r in enumerate(up)]
-                    + [0])
-                found[rows] = aut
+                ext = [r | top if d >> x & 1 else r
+                       for x, r in enumerate(up)] + [0]
+                if keep is None or keep(from_up_rows(ext, check=False)):
+                    rows, aut = _canonical(ext)
+                    found[rows] = aut
         level = sorted(found.items())
         yield n, level
 
@@ -412,6 +435,9 @@ _SEARCH_PREDICATES = {
     "nfree_but_strict_not_dacey": _pred_nfree_strict_not_dacey,
     "strict_dacey": _pred_strict_dacey,
 }
+# hereditary filters for _poset_classes: a predicate that holds only on
+# N-free posets needs only the N-free classes walked
+_SEARCH_KEEP = {"nfree_but_strict_not_dacey": is_n_free}
 
 
 def search_counterexample(predicate: str, max_n: int,
@@ -435,7 +461,7 @@ def search_counterexample(predicate: str, max_n: int,
             f"unknown predicate {predicate!r}; known: "
             f"{sorted(_SEARCH_PREDICATES)}") from None
     _check_max_n("search", max_n, cap)
-    for n, classes in _poset_classes(max_n):
+    for n, classes in _poset_classes(max_n, _SEARCH_KEEP.get(predicate)):
         hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
         if hits:
             return from_up_rows(min(

@@ -19,7 +19,8 @@ change to either shows up as a failure:
   catalog.nfree_strict_non_dacey does fail it, so eight is the smallest
   size of such a failure.  The test after it (7b) scans the 16999
   isomorphism classes on eight elements and finds that witness, and only
-  it, up to isomorphism.
+  it, up to isomorphism.  The next (7c) walks only the N-free classes, to
+  nine elements, and finds 11 such classes on nine.
 """
 
 import ast
@@ -284,6 +285,22 @@ def test_strict_non_dacey_witness_is_unique_at_eight():
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 7b: PASS - the strict non-Dacey witness is the only "
           f"N-free class on eight elements ({elapsed:.1f}s)")
+
+
+def test_strict_non_dacey_classes_at_nine():
+    # the hereditary walk extends only N-free classes; on nine elements
+    # 11 of the 14217 N-free classes have a non-Dacey strict-comparability
+    # orthoset
+    t0 = time.perf_counter()
+    pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
+    n, classes = list(_poset_classes(9, keep=is_n_free))[-1]
+    hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
+    assert n == 9 and len(classes) == 14217
+    assert len(hits) == 11
+    elapsed = time.perf_counter() - t0
+    print(f"ACCEPTANCE 7c: PASS - 11 of the 14217 N-free classes on nine "
+          f"elements have a non-Dacey strict-comparability orthoset "
+          f"({elapsed:.1f}s)")
 
 
 def test_criterion_8_closure_enumeration_oracle():

@@ -14,14 +14,17 @@ from orthoposet import census
 from orthoposet.census import (_enumerate_rows, _enumeration_key,
                                _poset_classes, census_run,
                                search_counterexample, verify_theorems)
+from orthoposet.catalog import antichain
 from orthoposet.npatterns import is_n_free
-from orthoposet.poset import from_up_rows
+from orthoposet.poset import from_up_rows, poset_from_covers
 
 from oracles import relabelings
 
 # OEIS A000112 (unlabeled) and A001035 (labeled) posets on 1..7 elements
 UNLABELED = [1, 2, 5, 16, 63, 318, 2045]
 LABELED = [1, 3, 19, 219, 4231, 130023, 6129859]
+# N-free classes on 1..8 elements
+N_FREE = [1, 2, 5, 15, 49, 180, 715, 3081]
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +42,7 @@ def test_class_counts_match_oeis(classes7):
 def test_classes_partition_the_labeled_posets(classes7):
     # every orbit has n!/|Aut| members, no two orbits meet, and together
     # they are exactly the labeled enumeration
-    for n, classes in classes7[:5]:
+    for n, classes in classes7[:6]:
         seen = set()
         for up, aut in classes:
             orbit = relabelings(n, up)
@@ -47,6 +50,12 @@ def test_classes_partition_the_labeled_posets(classes7):
             assert not orbit & seen, f"n={n} up={up} meets an earlier class"
             seen |= orbit
         assert seen == set(_enumerate_rows(n))
+
+
+def _disjoint_chains(k, length):
+    return poset_from_covers(k * length, [(c * length + i, c * length + i + 1)
+                                          for c in range(k)
+                                          for i in range(length - 1)])
 
 
 def test_canonical_form_ignores_labels():
@@ -57,14 +66,41 @@ def test_canonical_form_ignores_labels():
         order = rng.sample(range(n), n)
         assert census._canonical(census._relabel(p.up, order)) == \
             census._canonical(p.up)
+    # sparse and dense posets on 1..9 elements, and twins and large
+    # automorphism groups: antichains (one block of n twins) and disjoint
+    # equal chains (k! automorphisms, none of them swapping twins)
+    cases = [(census.random_poset(n, seed, edge_prob), None)
+             for n in range(1, 10) for seed in range(8)
+             for edge_prob in (0.2, 0.5)]
+    cases += [(antichain(n), factorial(n)) for n in range(1, 10)]
+    cases += [(_disjoint_chains(k, length), factorial(k))
+              for k, length in ((2, 2), (3, 2), (2, 3), (4, 2), (2, 4),
+                                (3, 3))]
+    for p, aut in cases:
+        rows, got = census._canonical(p.up)
+        if aut is not None:
+            assert got == aut, f"up={p.up}"
+        for _ in range(3):
+            order = rng.sample(range(p.n), p.n)
+            assert census._canonical(census._relabel(p.up, order)) == \
+                (rows, got), f"up={p.up} order={order}"
 
 
 def test_unlabeled_n_free_counts():
     # the package's N needs the middle pair to be a cover, so these counts
     # are not OEIS A003430 (series-parallel posets, 48 at n=5)
-    got = [sum(is_n_free(from_up_rows(up)) for up, _ in classes)
-           for _, classes in _poset_classes(5)]
-    assert got == [1, 2, 5, 15, 49]
+    got = [len(classes) for _, classes in _poset_classes(8, keep=is_n_free)]
+    assert got == N_FREE
+
+
+def test_hereditary_walk_is_the_filtered_walk(classes7):
+    # deleting a maximal element keeps every cover among the rest, so the
+    # walk that extends only N-free classes reaches every N-free class
+    kept = list(_poset_classes(7, keep=is_n_free))
+    assert [n for n, _ in kept] == list(range(1, 8))
+    for (n, classes), (_, mine) in zip(classes7, kept):
+        assert mine == [(up, aut) for up, aut in classes
+                        if is_n_free(from_up_rows(up))], f"n={n}"
 
 
 def test_labeled_tally_equals_census():

@@ -191,6 +191,21 @@ def test_logic_rejects_perp_outside_family():
         _logic_from_family(Orthoset((0b10, 0b01)), [0b00, 0b01, 0b11])
 
 
+@pytest.mark.parametrize("adj, elements", [
+    # no orthogonality on 2 elements: {0} has perp {} and double perp
+    # {0,1}, so it is not closed
+    ((0, 0), [0b00, 0b01, 0b11]),
+    # 0 and 1 orthogonal: {} and {0,1} are closed and each other's perp,
+    # but {0,1} meets the point perp {1} of 0 outside the family
+    ((0b10, 0b01), [0b00, 0b11]),
+])
+def test_logic_rejects_element_that_is_not_closed(adj, elements):
+    # every perp and every pairwise meet of the family lands back in it
+    with pytest.raises(AssertionError,
+                       match=r"element 1 is not orthoclosed, or its meet"):
+        _logic_from_family(Orthoset(adj), elements)
+
+
 def test_boolean_rejects_non_distributive_verdict_without_witness(
         monkeypatch):
     # Birkhoff's helper patched to name an atom of the four-element Boolean
