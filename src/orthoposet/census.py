@@ -30,12 +30,13 @@ stands for n!/|Aut| labeled posets (orbit-stabilizer) and the census
 tallies it with that weight.  Which representative the canonical form
 picks is internal: summaries and search results do not depend on it.  A
 class that violates an equivalence is expanded into its distinct
-labelings, each reported as the labeled census would report it.  Shards
-are contiguous chunks of each size's class list, so any worker count
-gives identical summaries.  The census walks every class; the search for
-N-free counterexamples extends only the N-free classes, which reaches
-them all, since deleting a maximal element keeps every cover among the
-rest.
+labelings, each reported as the labeled census would report it.  Workers
+only decide classes, one verify_theorems call each, and return the
+reports in class order; the weights, counts and violation strings are
+computed in the parent, so any worker count gives identical summaries.
+The census walks every class; the search for N-free counterexamples
+extends only the N-free classes, which reaches them all, since deleting
+a maximal element keeps every cover among the rest.
 
 The labeled enumeration, one-element extension in a fixed order, is the
 public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
@@ -185,8 +186,17 @@ def _relabel(up: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
 
 
 def _relabelings(up: Sequence[int]) -> set[tuple[int, ...]]:
-    """Up rows of every labeling of a poset, each distinct one once."""
-    return {_relabel(up, order) for order in permutations(range(len(up)))}
+    """Up rows of every labeling of a poset, each distinct one once.
+
+    Twins, elements with equal up and down rows, can swap freely, so orders
+    that put the same twin classes in the same places give the same rows,
+    and one order per such sequence is relabeled.
+    """
+    keys = list(zip(up, _transpose(up, len(up))))
+    orders = {}
+    for order in permutations(range(len(up))):
+        orders.setdefault(tuple([keys[x] for x in order]), order)
+    return {_relabel(up, order) for order in orders.values()}
 
 
 def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -366,60 +376,51 @@ def _check_max_n(what: str, max_n: int, cap: int) -> None:
         raise SizeLimitError(f"{what} to n={max_n} exceeds cap {cap}")
 
 
-def _census_shard(args: tuple[int, list]) -> tuple[int, list[int], list[str]]:
-    """Tally a chunk of classes; args is (n, [(up, |Aut|), ...]), and each
-    class counts once for each of its n!/|Aut| labelings."""
-    n, classes = args
-    total = 0
-    counts = [0] * 7
-    violations: list[str] = []
-    for up, aut in classes:
-        weight = factorial(n) // aut
-        total += weight
-        rep = verify_theorems(from_up_rows(up, check=False))
-        for i, name in enumerate(_PREDICATES):
-            counts[i] += weight * getattr(rep, name)
-        if rep.violations:
-            for rows in _relabelings(up):
-                violations += (f"n={n} up={list(rows)}: {v}"
-                               for v in rep.violations)
-    return total, counts, violations
+def _decide(up: tuple[int, ...]) -> TheoremReport:
+    """The census's unit of work: verify_theorems on one class."""
+    return verify_theorems(from_up_rows(up, check=False))
 
 
 def census_run(max_n: int, workers: int = 1,
                cap: int = DEFAULT_CENSUS_CAP) -> list[CensusSummary]:
     """Census for every size 1..max_n; identical output for any worker count.
 
-    The classes are generated serially; each size's class list is cut into
-    at most `workers` contiguous shards, and one pool tallies the shards of
-    every size.  Summaries merge by addition with violations sorted.  The
-    pool never has more processes than shards or CPUs.  Raises
-    OrthoposetError when max_n is negative or workers is below 1, and
-    SizeLimitError when max_n exceeds cap.
+    The classes are generated serially and decided in class order, by one
+    pool when workers exceeds 1; pool.map keeps that order.  The parent
+    then tallies each size: a class counts n!/|Aut| times, and a violating
+    class is expanded into its labelings, with violations sorted.  The pool
+    never has more processes than classes or CPUs.  Raises OrthoposetError
+    when max_n is negative or workers is below 1, and SizeLimitError when
+    max_n exceeds cap.
     """
     _check_max_n("census", max_n, cap)
     if workers < 1:
         raise OrthoposetError(f"worker count must be at least 1, got {workers}")
-    shards = []
-    for n, classes in _poset_classes(max_n):
-        step = -(-len(classes) // workers)
-        shards += [(n, classes[i:i + step])
-                   for i in range(0, len(classes), step)]
-    if workers == 1 or len(shards) <= 1:
-        results = list(map(_census_shard, shards))
+    levels = list(_poset_classes(max_n))
+    ups = [up for _, classes in levels for up, _ in classes]
+    if workers == 1 or len(ups) <= 1:
+        reports = list(map(_decide, ups))
     else:
         # workers ignore Ctrl-C; the parent stops them on its way out
-        with Pool(min(workers, len(shards), os.cpu_count() or 1),
+        with Pool(min(workers, len(ups), os.cpu_count() or 1),
                   initializer=signal.signal,
                   initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            results = pool.map(_census_shard, shards)
+            reports = pool.map(_decide, ups)
+    it = iter(reports)
     out = []
-    for n in range(1, max_n + 1):
-        mine = [r for (size, _), r in zip(shards, results) if size == n]
-        total = sum(r[0] for r in mine)
-        counts = [sum(r[1][i] for r in mine) for i in range(7)]
-        violations = sorted(v for r in mine for v in r[2])
-        out.append(CensusSummary(n, total, *counts, tuple(violations)))
+    for n, classes in levels:
+        total, counts, violations = 0, [0] * len(_PREDICATES), []
+        # zip stops at the end of classes without drawing a report
+        for (up, aut), rep in zip(classes, it):
+            weight = factorial(n) // aut
+            total += weight
+            for i, name in enumerate(_PREDICATES):
+                counts[i] += weight * getattr(rep, name)
+            if rep.violations:
+                violations += (f"n={n} up={list(rows)}: {v}"
+                               for rows in _relabelings(up)
+                               for v in rep.violations)
+        out.append(CensusSummary(n, total, *counts, tuple(sorted(violations))))
     return out
 
 

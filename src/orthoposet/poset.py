@@ -64,11 +64,6 @@ class Poset:
         return tuple(_covers_from_up(self.up, self.n))
 
     @cached
-    def cover_down(self) -> tuple[int, ...]:
-        """cover_down[x] = {y : x covers y}."""
-        return tuple(_transpose(self.cover_up, self.n))
-
-    @cached
     def comparable(self) -> tuple[int, ...]:
         """comparable[x] = {y : x < y or y < x}."""
         return tuple(map(or_, self.up, self.down))

@@ -158,6 +158,26 @@ def brute_n_quads(n: int, up: tuple[int, ...],
     return sorted(out)
 
 
+def brute_hourglass(n: int, up: tuple[int, ...]) -> tuple | None:
+    """The lex-least hourglass (m, a, b, c, d), or None, by direct scan.
+
+    An hourglass is an element m with two incomparable elements a < b below
+    it and two incomparable elements c < d above it: an induced copy of the
+    five-element poset a, b < m < c, d.
+    """
+    def lt(x, y):
+        return bool(up[x] >> y & 1)
+
+    def inc(x, y):
+        return not lt(x, y) and not lt(y, x) and x != y
+
+    for m, a, b, c, d in itertools.product(range(n), repeat=5):
+        if (a < b and c < d and lt(a, m) and lt(b, m) and lt(m, c)
+                and lt(m, d) and inc(a, b) and inc(c, d)):
+            return m, a, b, c, d
+    return None
+
+
 # ------------------------------------------------------------- orthosets
 
 def brute_perp(adj: tuple[int, ...], n: int, x: int) -> int:

@@ -219,10 +219,25 @@ def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
     expect = census_run(5)
     monkeypatch.setattr(census, "Pool", SerialPool)
     assert census_run(5, workers=1000) == expect
-    # one pool for the whole run: every size's classes are cut into shards of
-    # one class each, 1 + 2 + 5 + 16 + 63 = 87 shards, and the pool is no
-    # larger than the CPU count either
+    # one pool for the whole run, no larger than the 1 + 2 + 5 + 16 + 63 = 87
+    # classes it decides, nor than the CPU count
     assert sizes == [min(87, os.cpu_count() or 1)]
+
+
+def test_census_decides_each_class_once(monkeypatch):
+    # one verify_theorems call per class, 1 + 2 + 5 + 16 + 63 = 87 to n=5,
+    # and one expansion into labelings for the one violating class
+    decided, expanded = [], []
+    verify, relabelings = census.verify_theorems, census._relabelings
+    monkeypatch.setattr(census, "verify_theorems",
+                        lambda p: decided.append(p.up) or verify(p))
+    monkeypatch.setattr(census, "_relabelings",
+                        lambda up: expanded.append(up) or relabelings(up))
+    census_run(5)
+    assert len(decided) == len(set(decided)) == 87
+    assert len(expanded) == 1
+    assert census._canonical(expanded[0]) == \
+        census._canonical(weak_nfree_incompatible().up)
 
 
 def test_search_finds_dacey_immediately():

@@ -18,7 +18,7 @@ from orthoposet.catalog import antichain
 from orthoposet.npatterns import is_n_free
 from orthoposet.poset import from_up_rows, poset_from_covers
 
-from oracles import relabelings
+from oracles import brute_hourglass, relabelings
 
 # OEIS A000112 (unlabeled) and A001035 (labeled) posets on 1..7 elements
 UNLABELED = [1, 2, 5, 16, 63, 318, 2045]
@@ -40,13 +40,15 @@ def test_class_counts_match_oeis(classes7):
 
 
 def test_classes_partition_the_labeled_posets(classes7):
-    # every orbit has n!/|Aut| members, no two orbits meet, and together
-    # they are exactly the labeled enumeration
+    # every orbit has n!/|Aut| members and is what census._relabelings
+    # lists, no two orbits meet, and together they are exactly the labeled
+    # enumeration
     for n, classes in classes7[:6]:
         seen = set()
         for up, aut in classes:
             orbit = relabelings(n, up)
             assert len(orbit) == factorial(n) // aut, f"n={n} up={up}"
+            assert census._relabelings(up) == orbit, f"n={n} up={up}"
             assert not orbit & seen, f"n={n} up={up} meets an earlier class"
             seen |= orbit
         assert seen == set(_enumerate_rows(n))
@@ -118,6 +120,23 @@ def test_labeled_tally_equals_census():
         out.append(census.CensusSummary(n, total, *counts,
                                         tuple(sorted(violations))))
     assert census_run(5) == out
+
+
+def test_compatible_is_weak_n_free_and_hourglass_free(classes7):
+    # on every class to n=6, the incomparability orthoset is compatible
+    # exactly when the poset has no weak N and no hourglass; the weak-N-free
+    # but incompatible classes, all with an hourglass, number 1 and 8
+    incompatible = []
+    for n, classes in classes7[:6]:
+        count = 0
+        for up, _ in classes:
+            rep = verify_theorems(from_up_rows(up, check=False))
+            hourglass_free = brute_hourglass(n, up) is None
+            assert rep.compatible == (rep.weak_n_free and hourglass_free), \
+                f"n={n} up={up}"
+            count += rep.weak_n_free and not rep.compatible
+        incompatible.append(count)
+    assert incompatible == [0, 0, 0, 0, 1, 8]
 
 
 def test_enumeration_order_is_the_search_key():
