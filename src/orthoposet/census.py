@@ -22,7 +22,8 @@ counts as weak-N-free.
 Every predicate is invariant under relabeling, so the census and the
 search decide one canonical representative per isomorphism class.  The
 classes on n elements are grown from those on n-1 by adding one new maximal
-element above each down-set, and deduplicated by a canonical form: the
+element above each down-set at least as large as the below-set of every
+other maximal element, and deduplicated by a canonical form: the
 lex-least relabeled up rows over the relabelings that respect an
 iso-invariant colouring of the twin blocks.  The relabelings reaching that
 minimum, times the orders inside the blocks, number |Aut|, so a class
@@ -36,7 +37,9 @@ reports in class order; the weights, counts and violation strings are
 computed in the parent, so any worker count gives identical summaries.
 The census walks every class; the search for N-free counterexamples
 extends only the N-free classes, which reaches them all, since deleting
-a maximal element keeps every cover among the rest.
+a maximal element keeps every cover among the rest.  Its extensions are
+tested only for an N through the new element, as the class extended is
+N-free already.
 
 The labeled enumeration, one-element extension in a fixed order, is the
 public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
@@ -64,8 +67,8 @@ from .npatterns import (chain_antichain_property, find_covering_n, find_n,
                         find_weak_n, is_n_free)
 from .orthoset import (Orthoset, _dacey, enumerate_orthoclosed,
                        is_compatible, is_dacey, orthoset_from_pairs)
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _transpose,
-                    from_up_rows)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _covers_from_up,
+                    _transpose, from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
 # the seven predicates, in the order CensusSummary counts them
@@ -249,33 +252,95 @@ def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return best, reached * swaps
 
 
-def _poset_classes(max_n: int, keep: Callable[[Poset], bool] | None = None,
+def _poset_classes(max_n: int,
+                   keep: Callable[[Sequence[int], Sequence[int]],
+                                  Callable[[int], bool]] | None = None,
                    ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]]]]:
     """Yield (n, classes) for n = 1..max_n, one (canonical up rows, |Aut|)
     per isomorphism class of posets on n elements, sorted by rows.
 
     Removing a maximal element leaves a poset on n-1 elements with the
     removed element's below-set as a down-set, so adding a new maximal
-    element above every down-set of every class on n-1 elements reaches
-    every class on n.  With keep, only the classes keep accepts are kept
-    and extended.  keep must be hereditary under deleting a maximal
-    element, as is_n_free is: deleting a maximal element keeps every cover
-    among the others, so an N in P - t is an N in P.  Then every class
-    keep accepts is reached.
+    element t above a down-set d of every class on n-1 elements reaches
+    every class on n.  Only the extensions where no other maximal element
+    has a below-set larger than d are canonicalized.  That loses no class:
+    take a maximal element t* of the class whose below-set is largest
+    among its maximal elements.  The other maximal elements of the class
+    are those of the class minus t* outside t*'s below-set, none with a
+    larger below-set, so the extension of the class minus t* that
+    restores t* passes.
+
+    keep(up, down) is called once per class on n-1 elements with its up
+    and down rows, and returns a test of its down-sets d: true keeps the
+    extension above d.  Only the classes it keeps are extended.  keep must
+    be hereditary under deleting a maximal element, so that the smaller
+    class of the argument above is kept too; then every class keep accepts
+    is reached.  _nfree_extensions is one.
     """
     level = [((), 1)]
     for n in range(1, max_n + 1):
         top = 1 << (n - 1)
         found = {}
         for up, _ in level:
-            for d in _closed_sets(_transpose(up, n - 1)):
-                ext = [r | top if d >> x & 1 else r
-                       for x, r in enumerate(up)] + [0]
-                if keep is None or keep(from_up_rows(ext, check=False)):
-                    rows, aut = _canonical(ext)
-                    found[rows] = aut
+            down = _transpose(up, n - 1)
+            # larger[k]: the maximal elements with more than k below them
+            larger = [sum(1 << x for x, r in enumerate(up)
+                          if not r and down[x].bit_count() > k)
+                      for k in range(n)]
+            test = keep and keep(up, down)
+            for d in _closed_sets(down):
+                if larger[d.bit_count()] & ~d or test and not test(d):
+                    continue
+                rows, aut = _canonical([r | top if d >> x & 1 else r
+                                        for x, r in enumerate(up)] + [0])
+                found[rows] = aut
         level = sorted(found.items())
         yield n, level
+
+
+def _nfree_extensions(up: Sequence[int], down: Sequence[int],
+                      ) -> Callable[[int], bool]:
+    """The keep of the N-free walk: given an N-free poset by its up and
+    down rows, a test of its down-sets d that is true when adding a new
+    maximal element t above d leaves the poset N-free.
+
+    An N (a, b, c, d') has a < c, c covering b, b < d', and a incomparable
+    to b and to d', and c to d'.  t is maximal, so it is c or d', and no
+    cover among the old elements changes.  As c, t covers b, a maximal
+    element of d; a is in d and incomparable to b and to some d' above b
+    outside d.  As d', b is in d, and some cover c of b outside d has an a
+    below it outside d that is incomparable to b.  The cover and
+    incomparability rows are computed once per poset.
+    """
+    n = len(up)
+    cover = _covers_from_up(up, n)
+    incomp = [~(u | w | 1 << x) & ((1 << n) - 1)
+              for x, (u, w) in enumerate(zip(up, down))]
+
+    def test(d: int) -> bool:
+        rest = d
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = low.bit_length() - 1
+            if not up[b] & d:       # t covers b
+                outside = up[b] & ~d
+                if outside:
+                    a_s = d & incomp[b]
+                    while a_s:
+                        low = a_s & -a_s
+                        a_s ^= low
+                        if incomp[low.bit_length() - 1] & outside:
+                            return False
+            cs = cover[b] & ~d
+            while cs:
+                low = cs & -cs
+                cs ^= low
+                if down[low.bit_length() - 1] & incomp[b] & ~d:
+                    return False
+        return True
+
+    return test
 
 
 def _check_edge_prob(edge_prob: float) -> None:
@@ -438,7 +503,7 @@ _SEARCH_PREDICATES = {
 }
 # hereditary filters for _poset_classes: a predicate that holds only on
 # N-free posets needs only the N-free classes walked
-_SEARCH_KEEP = {"nfree_but_strict_not_dacey": is_n_free}
+_SEARCH_KEEP = {"nfree_but_strict_not_dacey": _nfree_extensions}
 
 
 def search_counterexample(predicate: str, max_n: int,

@@ -32,10 +32,10 @@ from orthoposet.bridges import (incomparability_orthoset,
                                 ud_decomposition)
 from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
                                 path_orthoset, weak_nfree_incompatible)
-from orthoposet.census import (_SEARCH_PREDICATES, _poset_classes,
-                               census_run, enumerate_labeled_posets,
-                               random_orthoset, search_counterexample,
-                               verify_theorems)
+from orthoposet.census import (_SEARCH_PREDICATES, _nfree_extensions,
+                               _poset_classes, census_run,
+                               enumerate_labeled_posets, random_orthoset,
+                               search_counterexample, verify_theorems)
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_n, find_weak_n, is_n_free
 from orthoposet.orthoset import (double_perp, enumerate_orthoclosed,
@@ -293,7 +293,7 @@ def test_strict_non_dacey_classes_at_nine():
     # orthoset
     t0 = time.perf_counter()
     pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
-    n, classes = list(_poset_classes(9, keep=is_n_free))[-1]
+    n, classes = list(_poset_classes(9, keep=_nfree_extensions))[-1]
     hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
     assert n == 9 and len(classes) == 14217
     assert len(hits) == 11

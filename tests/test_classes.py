@@ -16,9 +16,9 @@ from orthoposet.census import (_enumerate_rows, _enumeration_key,
                                search_counterexample, verify_theorems)
 from orthoposet.catalog import antichain
 from orthoposet.npatterns import is_n_free
-from orthoposet.poset import from_up_rows, poset_from_covers
+from orthoposet.poset import _transpose, from_up_rows, poset_from_covers
 
-from oracles import brute_hourglass, relabelings
+from oracles import brute_hourglass, brute_n_quads, relabelings
 
 # OEIS A000112 (unlabeled) and A001035 (labeled) posets on 1..7 elements
 UNLABELED = [1, 2, 5, 16, 63, 318, 2045]
@@ -91,18 +91,56 @@ def test_canonical_form_ignores_labels():
 def test_unlabeled_n_free_counts():
     # the package's N needs the middle pair to be a cover, so these counts
     # are not OEIS A003430 (series-parallel posets, 48 at n=5)
-    got = [len(classes) for _, classes in _poset_classes(8, keep=is_n_free)]
+    got = [len(classes) for _, classes
+           in _poset_classes(8, keep=census._nfree_extensions)]
     assert got == N_FREE
 
 
 def test_hereditary_walk_is_the_filtered_walk(classes7):
     # deleting a maximal element keeps every cover among the rest, so the
     # walk that extends only N-free classes reaches every N-free class
-    kept = list(_poset_classes(7, keep=is_n_free))
+    kept = list(_poset_classes(7, keep=census._nfree_extensions))
     assert [n for n, _ in kept] == list(range(1, 8))
     for (n, classes), (_, mine) in zip(classes7, kept):
         assert mine == [(up, aut) for up, aut in classes
                         if is_n_free(from_up_rows(up))], f"n={n}"
+
+
+def test_nfree_extensions_is_the_n_scan():
+    # on every down-set of every N-free class to n=6, the incremental test
+    # agrees with a full N scan of the extended poset; the new element t is
+    # c in every N of some rejected extensions and d in every N of others
+    roles = set()
+    for n, classes in _poset_classes(6, keep=census._nfree_extensions):
+        for up, _ in classes:
+            down = _transpose(up, n)
+            test = census._nfree_extensions(up, down)
+            for d in census._closed_sets(down):
+                ext = tuple(r | 1 << n if d >> x & 1 else r
+                            for x, r in enumerate(up)) + (0,)
+                kept = test(d)
+                assert kept == is_n_free(from_up_rows(ext)), f"up={up} d={d}"
+                if not kept:
+                    roles.add(frozenset(q.index(n)
+                                        for q in brute_n_quads(n + 1, ext)))
+    assert {frozenset({2}), frozenset({3})} <= roles
+
+
+@pytest.mark.parametrize("max_n, keep, calls", [
+    (6, None, 583),
+    (7, census._nfree_extensions, 1502),
+])
+def test_walk_canonicalizes_only_the_candidates(max_n, keep, calls,
+                                                monkeypatch):
+    # an extension whose new element has a smaller below-set than another
+    # maximal element is never canonicalized; the full walk to n=6 would
+    # canonicalize 939 extensions and the N-free walk to n=7 2191
+    seen = []
+    canonical = census._canonical
+    monkeypatch.setattr(census, "_canonical",
+                        lambda up: seen.append(up) or canonical(up))
+    list(_poset_classes(max_n, keep))
+    assert len(seen) == calls
 
 
 def test_labeled_tally_equals_census():
