@@ -29,17 +29,19 @@ iso-invariant colouring of the twin blocks.  The relabelings reaching that
 minimum, times the orders inside the blocks, number |Aut|, so a class
 stands for n!/|Aut| labeled posets (orbit-stabilizer) and the census
 tallies it with that weight.  Which representative the canonical form
-picks is internal: summaries and search results do not depend on it.  A
-class that violates an equivalence is expanded into its distinct
-labelings, each reported as the labeled census would report it.  Workers
-only decide classes, one verify_theorems call each, and return the
-reports in class order; the weights, counts and violation strings are
-computed in the parent, so any worker count gives identical summaries.
-The census walks every class; the search for N-free counterexamples
-extends only the N-free classes, which reaches them all, since deleting
-a maximal element keeps every cover among the rest.  Its extensions are
-tested only for an N through the new element, as the class extended is
-N-free already.
+picks is internal: summaries and search results do not depend on it.
+Each class is one Poset, built once by the walk; the walk, its keep
+filter and the verdict all read that object's cached rows.  A class that
+violates an equivalence is expanded into its distinct labelings, each
+reported as the labeled census would report it.  Workers only decide
+classes, one verify_theorems call each, and return the reports in class
+order; the weights, counts and violation strings are computed in the
+parent, so any worker count gives identical summaries.  The census walks
+every class; the search for N-free counterexamples extends only the
+N-free classes, which reaches them all, since deleting a maximal element
+keeps every cover among the rest.  Its extensions are tested only for an
+N through the new element, as the class extended is N-free already, so
+the classes it yields are tested for strict Dacey alone, with no N scan.
 
 The labeled enumeration, one-element extension in a fixed order, is the
 public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
@@ -64,11 +66,11 @@ from .errors import OrthoposetError, SizeLimitError
 from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
                     is_orthomodular)
 from .npatterns import (chain_antichain_property, find_covering_n, find_n,
-                        find_weak_n, is_n_free)
+                        find_weak_n)
 from .orthoset import (Orthoset, _dacey, enumerate_orthoclosed,
                        is_compatible, is_dacey, orthoset_from_pairs)
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _covers_from_up,
-                    _transpose, from_up_rows)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _transpose,
+                    from_up_rows)
 
 DEFAULT_CENSUS_CAP = 6
 # the seven predicates, in the order CensusSummary counts them
@@ -188,22 +190,23 @@ def _relabel(up: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _relabelings(up: Sequence[int]) -> set[tuple[int, ...]]:
+def _relabelings(p: Poset) -> set[tuple[int, ...]]:
     """Up rows of every labeling of a poset, each distinct one once.
 
     Twins, elements with equal up and down rows, can swap freely, so orders
     that put the same twin classes in the same places give the same rows,
     and one order per such sequence is relabeled.
     """
-    keys = list(zip(up, _transpose(up, len(up))))
+    keys = list(zip(p.up, p.down))
     orders = {}
-    for order in permutations(range(len(up))):
+    for order in permutations(range(p.n)):
         orders.setdefault(tuple([keys[x] for x in order]), order)
-    return {_relabel(up, order) for order in orders.values()}
+    return {_relabel(p.up, order) for order in orders.values()}
 
 
-def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(canonical up rows, |Aut|) of a poset.
+def _canonical(up: Sequence[int],
+               down: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(canonical up rows, |Aut|) of a poset given by its up and down rows.
 
     Twins, elements with equal up and down rows, can swap freely, so each
     twin class stays together as one block, and the colouring runs on one
@@ -216,8 +219,6 @@ def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
     any order.  The orders reaching that minimum, times the orders inside
     the blocks, number |Aut|.
     """
-    n = len(up)
-    down = _transpose(up, n)
     twins: dict[tuple[int, int], list[int]] = {}
     for x, key in enumerate(zip(up, down)):
         twins.setdefault(key, []).append(x)
@@ -253,11 +254,12 @@ def _canonical(up: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def _poset_classes(max_n: int,
-                   keep: Callable[[Sequence[int], Sequence[int]],
-                                  Callable[[int], bool]] | None = None,
-                   ) -> Iterator[tuple[int, list[tuple[tuple[int, ...], int]]]]:
-    """Yield (n, classes) for n = 1..max_n, one (canonical up rows, |Aut|)
-    per isomorphism class of posets on n elements, sorted by rows.
+                   keep: Callable[[Poset], Callable[[int], bool]] | None = None,
+                   ) -> Iterator[tuple[int, list[tuple[Poset, int]]]]:
+    """Yield (n, classes) for n = 1..max_n, one (Poset, |Aut|) per
+    isomorphism class of posets on n elements, the Poset on the canonical
+    up rows, sorted by rows.  Each class is built once, and its cached
+    rows serve the walk, keep and whatever decides the class.
 
     Removing a maximal element leaves a poset on n-1 elements with the
     removed element's below-set as a down-set, so adding a new maximal
@@ -270,52 +272,51 @@ def _poset_classes(max_n: int,
     larger below-set, so the extension of the class minus t* that
     restores t* passes.
 
-    keep(up, down) is called once per class on n-1 elements with its up
-    and down rows, and returns a test of its down-sets d: true keeps the
-    extension above d.  Only the classes it keeps are extended.  keep must
-    be hereditary under deleting a maximal element, so that the smaller
-    class of the argument above is kept too; then every class keep accepts
-    is reached.  _nfree_extensions is one.
+    keep(p) is called once per class p on n-1 elements and returns a test
+    of its down-sets d: true keeps the extension above d.  Only the classes
+    it keeps are extended.  keep must be hereditary under deleting a
+    maximal element, so that the smaller class of the argument above is
+    kept too; then every class keep accepts is reached.  _nfree_extensions
+    is one.
     """
-    level = [((), 1)]
+    level = [(from_up_rows((), check=False), 1)]
     for n in range(1, max_n + 1):
         top = 1 << (n - 1)
         found = {}
-        for up, _ in level:
-            down = _transpose(up, n - 1)
+        for p, _ in level:
+            up, down = p.up, p.down
             # larger[k]: the maximal elements with more than k below them
             larger = [sum(1 << x for x, r in enumerate(up)
                           if not r and down[x].bit_count() > k)
                       for k in range(n)]
-            test = keep and keep(up, down)
+            test = keep and keep(p)
             for d in _closed_sets(down):
                 if larger[d.bit_count()] & ~d or test and not test(d):
                     continue
+                # t is above d and below nothing: only its own down row is new
                 rows, aut = _canonical([r | top if d >> x & 1 else r
-                                        for x, r in enumerate(up)] + [0])
+                                        for x, r in enumerate(up)] + [0],
+                                       down + (d,))
                 found[rows] = aut
-        level = sorted(found.items())
+        level = [(from_up_rows(rows, check=False), aut)
+                 for rows, aut in sorted(found.items())]
         yield n, level
 
 
-def _nfree_extensions(up: Sequence[int], down: Sequence[int],
-                      ) -> Callable[[int], bool]:
-    """The keep of the N-free walk: given an N-free poset by its up and
-    down rows, a test of its down-sets d that is true when adding a new
-    maximal element t above d leaves the poset N-free.
+def _nfree_extensions(p: Poset) -> Callable[[int], bool]:
+    """The keep of the N-free walk: given an N-free poset, a test of its
+    down-sets d that is true when adding a new maximal element t above d
+    leaves the poset N-free.
 
     An N (a, b, c, d') has a < c, c covering b, b < d', and a incomparable
     to b and to d', and c to d'.  t is maximal, so it is c or d', and no
     cover among the old elements changes.  As c, t covers b, a maximal
     element of d; a is in d and incomparable to b and to some d' above b
     outside d.  As d', b is in d, and some cover c of b outside d has an a
-    below it outside d that is incomparable to b.  The cover and
-    incomparability rows are computed once per poset.
+    below it outside d that is incomparable to b.  The test reads the
+    rows p has cached and builds no Poset.
     """
-    n = len(up)
-    cover = _covers_from_up(up, n)
-    incomp = [~(u | w | 1 << x) & ((1 << n) - 1)
-              for x, (u, w) in enumerate(zip(up, down))]
+    up, down, cover, incomp = p.up, p.down, p.cover_up, p.incomp
 
     def test(d: int) -> bool:
         rest = d
@@ -441,11 +442,6 @@ def _check_max_n(what: str, max_n: int, cap: int) -> None:
         raise SizeLimitError(f"{what} to n={max_n} exceeds cap {cap}")
 
 
-def _decide(up: tuple[int, ...]) -> TheoremReport:
-    """The census's unit of work: verify_theorems on one class."""
-    return verify_theorems(from_up_rows(up, check=False))
-
-
 def census_run(max_n: int, workers: int = 1,
                cap: int = DEFAULT_CENSUS_CAP) -> list[CensusSummary]:
     """Census for every size 1..max_n; identical output for any worker count.
@@ -462,28 +458,28 @@ def census_run(max_n: int, workers: int = 1,
     if workers < 1:
         raise OrthoposetError(f"worker count must be at least 1, got {workers}")
     levels = list(_poset_classes(max_n))
-    ups = [up for _, classes in levels for up, _ in classes]
-    if workers == 1 or len(ups) <= 1:
-        reports = list(map(_decide, ups))
+    posets = [p for _, classes in levels for p, _ in classes]
+    if workers == 1 or len(posets) <= 1:
+        reports = list(map(verify_theorems, posets))
     else:
         # workers ignore Ctrl-C; the parent stops them on its way out
-        with Pool(min(workers, len(ups), os.cpu_count() or 1),
+        with Pool(min(workers, len(posets), os.cpu_count() or 1),
                   initializer=signal.signal,
                   initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-            reports = pool.map(_decide, ups)
+            reports = pool.map(verify_theorems, posets)
     it = iter(reports)
     out = []
     for n, classes in levels:
         total, counts, violations = 0, [0] * len(_PREDICATES), []
         # zip stops at the end of classes without drawing a report
-        for (up, aut), rep in zip(classes, it):
+        for (p, aut), rep in zip(classes, it):
             weight = factorial(n) // aut
             total += weight
             for i, name in enumerate(_PREDICATES):
                 counts[i] += weight * getattr(rep, name)
             if rep.violations:
                 violations += (f"n={n} up={list(rows)}: {v}"
-                               for rows in _relabelings(up)
+                               for rows in _relabelings(p)
                                for v in rep.violations)
         out.append(CensusSummary(n, total, *counts, tuple(sorted(violations))))
     return out
@@ -493,17 +489,13 @@ def _pred_strict_dacey(p: Poset) -> bool:
     return is_dacey(strict_comparability_orthoset(p))[0]
 
 
-def _pred_nfree_strict_not_dacey(p: Poset) -> bool:
-    return is_n_free(p) and not _pred_strict_dacey(p)
-
-
-_SEARCH_PREDICATES = {
-    "nfree_but_strict_not_dacey": _pred_nfree_strict_not_dacey,
-    "strict_dacey": _pred_strict_dacey,
+# name: (keep of the class walk, test of each class it yields); the N-free
+# search walks only the N-free classes, so its test needs no N scan
+_SEARCHES = {
+    "nfree_but_strict_not_dacey": (_nfree_extensions,
+                                   lambda p: not _pred_strict_dacey(p)),
+    "strict_dacey": (None, _pred_strict_dacey),
 }
-# hereditary filters for _poset_classes: a predicate that holds only on
-# N-free posets needs only the N-free classes walked
-_SEARCH_KEEP = {"nfree_but_strict_not_dacey": _nfree_extensions}
 
 
 def search_counterexample(predicate: str, max_n: int,
@@ -521,16 +513,16 @@ def search_counterexample(predicate: str, max_n: int,
     exceeds cap.
     """
     try:
-        pred = _SEARCH_PREDICATES[predicate]
+        keep, test = _SEARCHES[predicate]
     except KeyError:
         raise ValueError(
             f"unknown predicate {predicate!r}; known: "
-            f"{sorted(_SEARCH_PREDICATES)}") from None
+            f"{sorted(_SEARCHES)}") from None
     _check_max_n("search", max_n, cap)
-    for n, classes in _poset_classes(max_n, _SEARCH_KEEP.get(predicate)):
-        hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
+    for n, classes in _poset_classes(max_n, keep):
+        hits = [p for p, _ in classes if test(p)]
         if hits:
             return from_up_rows(min(
-                (rows for up in hits for rows in _relabelings(up)),
+                (rows for p in hits for rows in _relabelings(p)),
                 key=_enumeration_key))
     return None

@@ -14,7 +14,7 @@ from dataclasses import asdict
 
 from .bridges import incomparability_orthoset
 from .catalog import antichain, chain, diamond22, n_poset
-from .census import (_SEARCH_PREDICATES, census_run, random_poset,
+from .census import (_SEARCHES, census_run, random_poset,
                      search_counterexample)
 from .errors import OrthoposetError
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
@@ -146,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="scan for a poset with a property")
     sp.add_argument("--predicate", required=True,
-                    choices=sorted(_SEARCH_PREDICATES))
+                    choices=sorted(_SEARCHES))
     sp.add_argument("--max-n", type=int, required=True)
     sp.set_defaults(func=_cmd_search)
 

@@ -32,7 +32,7 @@ from orthoposet.bridges import (incomparability_orthoset,
                                 ud_decomposition)
 from orthoposet.catalog import (diamond22, n_poset, nfree_strict_non_dacey,
                                 path_orthoset, weak_nfree_incompatible)
-from orthoposet.census import (_SEARCH_PREDICATES, _nfree_extensions,
+from orthoposet.census import (_SEARCHES, _nfree_extensions,
                                _poset_classes, census_run,
                                enumerate_labeled_posets, random_orthoset,
                                search_counterexample, verify_theorems)
@@ -40,7 +40,6 @@ from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_n, find_weak_n, is_n_free
 from orthoposet.orthoset import (double_perp, enumerate_orthoclosed,
                                  is_compatible, is_dacey, perp)
-from orthoposet.poset import from_up_rows
 
 from oracles import (brute_closed_sets, brute_compatible, brute_n_quads,
                      dacey_subset_checks, incomparability_adj,
@@ -273,9 +272,11 @@ def test_strict_non_dacey_witness_is_unique_at_eight():
     # exactly one is N-free with a non-Dacey strict-comparability orthoset,
     # and it is the catalog witness; the search returns one of its labelings
     t0 = time.perf_counter()
-    pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
+    _, test = _SEARCHES["nfree_but_strict_not_dacey"]
     n, classes = list(_poset_classes(8))[-1]
-    hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
+    # this walk is not filtered, so the N scan the search's walk stands
+    # in for is made here
+    hits = [p.up for p, _ in classes if is_n_free(p) and test(p)]
     w = nfree_strict_non_dacey()
     witness_labelings = relabelings(w.n, w.up)
     assert len(classes) == 16999
@@ -292,9 +293,9 @@ def test_strict_non_dacey_classes_at_nine():
     # 11 of the 14217 N-free classes have a non-Dacey strict-comparability
     # orthoset
     t0 = time.perf_counter()
-    pred = _SEARCH_PREDICATES["nfree_but_strict_not_dacey"]
+    _, test = _SEARCHES["nfree_but_strict_not_dacey"]
     n, classes = list(_poset_classes(9, keep=_nfree_extensions))[-1]
-    hits = [up for up, _ in classes if pred(from_up_rows(up, check=False))]
+    hits = [p for p, _ in classes if test(p)]
     assert n == 9 and len(classes) == 14217
     assert len(hits) == 11
     elapsed = time.perf_counter() - t0

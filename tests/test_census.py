@@ -232,12 +232,13 @@ def test_census_decides_each_class_once(monkeypatch):
     monkeypatch.setattr(census, "verify_theorems",
                         lambda p: decided.append(p.up) or verify(p))
     monkeypatch.setattr(census, "_relabelings",
-                        lambda up: expanded.append(up) or relabelings(up))
+                        lambda p: expanded.append(p) or relabelings(p))
     census_run(5)
     assert len(decided) == len(set(decided)) == 87
     assert len(expanded) == 1
-    assert census._canonical(expanded[0]) == \
-        census._canonical(weak_nfree_incompatible().up)
+    w = weak_nfree_incompatible()
+    assert census._canonical(expanded[0].up, expanded[0].down) == \
+        census._canonical(w.up, w.down)
 
 
 def test_search_finds_dacey_immediately():

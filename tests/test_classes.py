@@ -10,7 +10,7 @@ from math import factorial
 
 import pytest
 
-from orthoposet import census
+from orthoposet import census, npatterns
 from orthoposet.census import (_enumerate_rows, _enumeration_key,
                                _poset_classes, census_run,
                                search_counterexample, verify_theorems)
@@ -45,10 +45,11 @@ def test_classes_partition_the_labeled_posets(classes7):
     # enumeration
     for n, classes in classes7[:6]:
         seen = set()
-        for up, aut in classes:
+        for p, aut in classes:
+            up = p.up
             orbit = relabelings(n, up)
             assert len(orbit) == factorial(n) // aut, f"n={n} up={up}"
-            assert census._relabelings(up) == orbit, f"n={n} up={up}"
+            assert census._relabelings(p) == orbit, f"n={n} up={up}"
             assert not orbit & seen, f"n={n} up={up} meets an earlier class"
             seen |= orbit
         assert seen == set(_enumerate_rows(n))
@@ -60,14 +61,18 @@ def _disjoint_chains(k, length):
                                           for i in range(length - 1)])
 
 
+def _canonical(up):
+    return census._canonical(up, _transpose(up, len(up)))
+
+
 def test_canonical_form_ignores_labels():
     rng = random.Random(11)
     for seed in range(40):
         n = 6 + seed % 3
         p = census.random_poset(n, seed)
         order = rng.sample(range(n), n)
-        assert census._canonical(census._relabel(p.up, order)) == \
-            census._canonical(p.up)
+        assert _canonical(census._relabel(p.up, order)) == \
+            _canonical(p.up)
     # sparse and dense posets on 1..9 elements, and twins and large
     # automorphism groups: antichains (one block of n twins) and disjoint
     # equal chains (k! automorphisms, none of them swapping twins)
@@ -79,12 +84,12 @@ def test_canonical_form_ignores_labels():
               for k, length in ((2, 2), (3, 2), (2, 3), (4, 2), (2, 4),
                                 (3, 3))]
     for p, aut in cases:
-        rows, got = census._canonical(p.up)
+        rows, got = _canonical(p.up)
         if aut is not None:
             assert got == aut, f"up={p.up}"
         for _ in range(3):
             order = rng.sample(range(p.n), p.n)
-            assert census._canonical(census._relabel(p.up, order)) == \
+            assert _canonical(census._relabel(p.up, order)) == \
                 (rows, got), f"up={p.up} order={order}"
 
 
@@ -102,8 +107,8 @@ def test_hereditary_walk_is_the_filtered_walk(classes7):
     kept = list(_poset_classes(7, keep=census._nfree_extensions))
     assert [n for n, _ in kept] == list(range(1, 8))
     for (n, classes), (_, mine) in zip(classes7, kept):
-        assert mine == [(up, aut) for up, aut in classes
-                        if is_n_free(from_up_rows(up))], f"n={n}"
+        assert mine == [(p, aut) for p, aut in classes
+                        if is_n_free(p)], f"n={n}"
 
 
 def test_nfree_extensions_is_the_n_scan():
@@ -112,10 +117,10 @@ def test_nfree_extensions_is_the_n_scan():
     # c in every N of some rejected extensions and d in every N of others
     roles = set()
     for n, classes in _poset_classes(6, keep=census._nfree_extensions):
-        for up, _ in classes:
-            down = _transpose(up, n)
-            test = census._nfree_extensions(up, down)
-            for d in census._closed_sets(down):
+        for p, _ in classes:
+            up = p.up
+            test = census._nfree_extensions(p)
+            for d in census._closed_sets(p.down):
                 ext = tuple(r | 1 << n if d >> x & 1 else r
                             for x, r in enumerate(up)) + (0,)
                 kept = test(d)
@@ -134,13 +139,34 @@ def test_walk_canonicalizes_only_the_candidates(max_n, keep, calls,
                                                 monkeypatch):
     # an extension whose new element has a smaller below-set than another
     # maximal element is never canonicalized; the full walk to n=6 would
-    # canonicalize 939 extensions and the N-free walk to n=7 2191
+    # canonicalize 939 extensions and the N-free walk to n=7 2191; the down
+    # rows the walk builds for each extension are the transposed up rows
     seen = []
     canonical = census._canonical
-    monkeypatch.setattr(census, "_canonical",
-                        lambda up: seen.append(up) or canonical(up))
+
+    def counted(up, down):
+        assert list(down) == _transpose(up, len(up)), f"up={up}"
+        seen.append(up)
+        return canonical(up, down)
+
+    monkeypatch.setattr(census, "_canonical", counted)
     list(_poset_classes(max_n, keep))
     assert len(seen) == calls
+
+
+def test_nfree_search_runs_no_n_scan(monkeypatch):
+    # the N-free walk yields only N-free classes, so the search scans none
+    # of them for an N and tests each of the 252 classes to n=6 once for a
+    # Dacey strict-comparability orthoset
+    scans, dacey = [], []
+    find_quad, is_dacey = npatterns._find_quad, census.is_dacey
+    monkeypatch.setattr(npatterns, "_find_quad",
+                        lambda *args: scans.append(args) or find_quad(*args))
+    monkeypatch.setattr(census, "is_dacey",
+                        lambda o: dacey.append(o) or is_dacey(o))
+    assert search_counterexample("nfree_but_strict_not_dacey", 6) is None
+    assert len(scans) == 0
+    assert len(dacey) == sum(N_FREE[:6]) == 252
 
 
 def test_labeled_tally_equals_census():
@@ -167,11 +193,11 @@ def test_compatible_is_weak_n_free_and_hourglass_free(classes7):
     incompatible = []
     for n, classes in classes7[:6]:
         count = 0
-        for up, _ in classes:
-            rep = verify_theorems(from_up_rows(up, check=False))
-            hourglass_free = brute_hourglass(n, up) is None
+        for p, _ in classes:
+            rep = verify_theorems(p)
+            hourglass_free = brute_hourglass(n, p.up) is None
             assert rep.compatible == (rep.weak_n_free and hourglass_free), \
-                f"n={n} up={up}"
+                f"n={n} up={p.up}"
             count += rep.weak_n_free and not rep.compatible
         incompatible.append(count)
     assert incompatible == [0, 0, 0, 0, 1, 8]
@@ -215,11 +241,14 @@ def _n_free_not_boolean(p):
 def test_search_returns_the_labeled_first_hit(name, pred, monkeypatch):
     # the search tests one poset per class but returns the labeling the
     # labeled scan meets first; the last three predicates first hold at
-    # n = 4, 5 and 4, where that labeling is not the canonical one
+    # n = 4, 5 and 4, where that labeling is not the canonical one; the
+    # N-free search's test assumes the N-free walk, so the labeled scan
+    # applies the N scan itself
     if pred is None:
-        pred = census._SEARCH_PREDICATES[name]
+        keep, test = census._SEARCHES[name]
+        pred = test if keep is None else (lambda p: is_n_free(p) and test(p))
     else:
-        monkeypatch.setitem(census._SEARCH_PREDICATES, name, pred)
+        monkeypatch.setitem(census._SEARCHES, name, (None, pred))
     for max_n in range(1, 6):
         expect = _labeled_first_hit(pred, max_n)
         found = search_counterexample(name, max_n)

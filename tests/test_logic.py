@@ -152,9 +152,9 @@ def test_boolean_against_triple_oracle_small_posets():
 
 def test_boolean_against_triple_oracle_all_classes_to_six():
     for n, classes in _poset_classes(6):
-        for up, _aut in classes:
+        for p, _aut in classes:
             _assert_logic_matches_oracles(
-                Orthoset(incomparability_adj(n, up)))
+                Orthoset(incomparability_adj(n, p.up)))
 
 
 def test_boolean_and_join_against_oracles_random_orthosets():

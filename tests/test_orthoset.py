@@ -226,8 +226,8 @@ def test_compatible_witness_is_least():
 
 def test_compatible_against_bound_oracle():
     # every poset class to n = 6, then random orthosets beyond posets
-    orthosets = [Orthoset(incomparability_adj(n, up))
-                 for n, classes in _poset_classes(6) for up, _ in classes]
+    orthosets = [Orthoset(incomparability_adj(n, p.up))
+                 for n, classes in _poset_classes(6) for p, _ in classes]
     orthosets += [random_orthoset(seed % 9 + 1, seed + 1100)
                   for seed in range(80)]
     verdicts = set()
