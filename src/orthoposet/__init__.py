@@ -17,9 +17,8 @@ from .bridges import (incomparability_orthoset, strict_comparability_orthoset,
 from .catalog import (antichain, chain, diamond22, n_poset,
                       nfree_strict_non_dacey, path_orthoset,
                       weak_nfree_incompatible)
-from .census import (CensusSummary, TheoremReport, census_run,
-                     enumerate_labeled_posets, random_orthoset, random_poset,
-                     search_counterexample, verify_theorems)
+from .census import (CensusSummary, census_run, enumerate_labeled_posets,
+                     random_orthoset, random_poset, search_counterexample)
 from .errors import (CycleError, NotOrthoclosedError, OrthoposetError,
                      PosetSyntaxError, SizeLimitError, UnknownElementError)
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
@@ -33,7 +32,8 @@ from .orthoset import (Orthoset, bases, double_perp, enumerate_orthoclosed,
 from .poset import (Poset, covers, dual, from_up_rows, incomparable, leq, lt,
                     maximal_antichains, maximal_chains, poset_from_covers,
                     validate_poset)
-from .report import Report, build_report, emit_json_report
+from .report import (Report, TheoremReport, build_report, emit_json_report,
+                     verify_theorems)
 
 __all__ = [
     "CensusSummary", "CycleError", "Logic",

@@ -1,23 +1,8 @@
 """Exhaustive and randomized verification of the structure theorems.
 
 For every poset up to a size bound, one per isomorphism class, the census
-decides seven predicates (N-free, weak-N-free, Dacey, compatible,
-orthomodular, Boolean, chain-antichain) in one pass, verify_theorems, and
-records any violation of the equivalences claimed to tie them together:
-
-  N-free  ==  incomparability orthoset Dacey  ==  logic orthomodular
-          ==  every maximal chain meets every maximal antichain
-          ==  no covering N
-  weak-N-free  ==  incomparability orthoset compatible  ==  logic Boolean
-
-plus the one-way facts that weak-N-free implies N-free and Boolean implies
-orthomodular.  The first cluster, compatible == Boolean and all one-way
-facts verify clean at every size this census can reach.  The second
-cluster is genuinely false in the weak-N-free direction:
-catalog.weak_nfree_incompatible has no weak N yet fails compatibility, and
-its 30 labelings are exactly the violations the census reports at n=5.
-Having a weak N does imply incompatible, so every compatible poset still
-counts as weak-N-free.
+tallies the verdicts and violations of report.verify_theorems, the one
+decision pass; the random generators and the search live here too.
 
 Every predicate is invariant under relabeling, so the census and the
 search decide one canonical representative per isomorphism class.  The
@@ -61,21 +46,14 @@ from itertools import permutations, product
 from math import factorial
 from multiprocessing import Pool
 
-from .bridges import incomparability_orthoset, strict_comparability_orthoset
+from .bridges import strict_comparability_orthoset
 from .errors import OrthoposetError, SizeLimitError
-from .logic import (DEFAULT_MAX_LATTICE, _logic_from_family, is_boolean,
-                    is_orthomodular)
-from .npatterns import (chain_antichain_property, find_covering_n, find_n,
-                        find_weak_n)
-from .orthoset import (Orthoset, _dacey, enumerate_orthoclosed,
-                       is_compatible, is_dacey, orthoset_from_pairs)
+from .orthoset import Orthoset, is_dacey, orthoset_from_pairs
 from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _transpose,
                     from_up_rows)
+from .report import _PREDICATES, verify_theorems
 
 DEFAULT_CENSUS_CAP = 6
-# the seven predicates, in the order CensusSummary counts them
-_PREDICATES = ("n_free", "weak_n_free", "dacey", "compatible", "oml",
-               "boolean", "chain_antichain")
 
 
 @dataclass(frozen=True)
@@ -92,29 +70,6 @@ class CensusSummary:
     boolean: int
     chain_antichain: int
     violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """What verify_theorems decides for one poset: the seven verdicts, the
-    size of the logic, the equivalences violated, and the witnesses.
-
-    witnesses maps each failing predicate to the raw witness its standalone
-    procedure names: element indices for the N quads and the incompatible
-    pair, masks for the Dacey pair and the oml and boolean logic elements.
-    The census tallies these reports and build_report puts them in labels.
-    """
-
-    n_free: bool
-    weak_n_free: bool
-    dacey: bool
-    compatible: bool
-    oml: bool
-    boolean: bool
-    chain_antichain: bool
-    lattice_size: int
-    violations: tuple[str, ...]
-    witnesses: dict[str, tuple[int, ...]]
 
 
 def _closed_sets(rows: Sequence[int]) -> list[int]:
@@ -389,50 +344,6 @@ def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
     return orthoset_from_pairs(n, ((i, j) for i in range(n)
                                    for j in range(i + 1, n)
                                    if rng.random() < edge_prob))
-
-
-def verify_theorems(p: Poset,
-                    max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """The one decision pass: all seven predicates of one poset, the
-    equivalence checks and the witness of every failing predicate.  The
-    Dacey test and the logic share one orthoclosed family and perp table."""
-    found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
-                                      find_weak_n(p)) if w is not None}
-    o = incomparability_orthoset(p)
-    family = enumerate_orthoclosed(o)
-    # the lattice cap is checked before the Dacey scan walks the family
-    logic = _logic_from_family(o, family, max_lattice)
-    found["dacey"] = _dacey(o, family)[1]
-    found["compatible"] = is_compatible(o)[1]
-    # the logic names its elements by index; witnesses carry their masks
-    for name, (_, idx) in (("oml", is_orthomodular(logic)),
-                           ("boolean", is_boolean(logic))):
-        if idx is not None:
-            found[name] = tuple(family[i] for i in idx)
-    witnesses = {k: w for k, w in found.items() if w is not None}
-
-    n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
-        kind not in witnesses for kind in
-        ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
-    chain_antichain = chain_antichain_property(p)
-
-    violations = [name for name, lhs, rhs in (
-        ("n_free vs dacey", n_free, dacey),
-        ("n_free vs oml", n_free, oml),
-        ("n_free vs chain_antichain", n_free, chain_antichain),
-        ("n_free vs covering_n_free", n_free, cov_n_free),
-        ("weak_n_free vs compatible", weak_free, compatible),
-        ("weak_n_free vs boolean", weak_free, boolean),
-        ("compatible vs boolean", compatible, boolean),
-    ) if lhs != rhs]
-    if weak_free and not n_free:
-        violations.append("weak_n_free without n_free")
-    if boolean and not oml:
-        violations.append("boolean without oml")
-
-    return TheoremReport(n_free, weak_free, dacey, compatible, oml, boolean,
-                         chain_antichain, len(family), tuple(violations),
-                         witnesses)
 
 
 def _check_max_n(what: str, max_n: int, cap: int) -> None:

@@ -1,4 +1,20 @@
-"""Full analysis of one poset, with witnesses, as a stable JSON document."""
+"""Full analysis of one poset, with witnesses, as a stable JSON document.
+
+verify_theorems, the one decision pass, decides seven predicates and names
+each equivalence or one-way fact it finds broken, as one of the violations
+
+  n_free vs {dacey, oml, chain_antichain, covering_n_free}
+  weak_n_free vs {compatible, boolean}      compatible vs boolean
+  weak_n_free without n_free                boolean without oml
+
+where Dacey, compatible and the logic are those of the incomparability
+orthoset.  All but weak_n_free vs compatible and vs boolean verify clean at
+every size the census reaches.  Those two fail because weak-N-free does not
+imply compatible: catalog.weak_nfree_incompatible has no weak N yet fails
+compatibility, and its 30 labelings are the violations the census reports
+at n=5.  A weak N does imply incompatible, so compatible implies
+weak-N-free.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +23,20 @@ import time
 from dataclasses import dataclass
 
 from .bitset import subset_labels
-from .census import _PREDICATES, verify_theorems
-from .logic import DEFAULT_MAX_LATTICE
+from .bridges import incomparability_orthoset
+from .logic import (DEFAULT_MAX_LATTICE, build_logic, is_boolean,
+                    is_orthomodular)
+from .npatterns import (chain_antichain_property, find_covering_n, find_n,
+                        find_weak_n)
+from .orthoset import _dacey, is_compatible
 from .poset import Poset
 
-# not called here; kept bound so the benchmark's traced analyze can wrap them
-from .bridges import incomparability_orthoset  # noqa: F401
-from .logic import build_logic, is_boolean, is_orthomodular  # noqa: F401
-from .npatterns import find_covering_n, find_n, find_weak_n  # noqa: F401
-from .orthoset import is_compatible, is_dacey  # noqa: F401
+# not called here (_dacey shares the logic's family); bound for the benchmark
+from .orthoset import is_dacey  # noqa: F401
+
+# the seven predicates, in the order CensusSummary counts them
+_PREDICATES = ("n_free", "weak_n_free", "dacey", "compatible", "oml",
+               "boolean", "chain_antichain")
 
 # label-level shape of each raw witness: a list of element labels under one
 # key, or one label list per subset mask under the given keys
@@ -23,6 +44,73 @@ _ELEMENT_WITNESSES = {"n": "quad", "covering_n": "quad", "weak_n": "quad",
                       "compatible": "pair"}
 _SUBSET_WITNESSES = {"dacey": ("closed_set", "basis"), "oml": ("x", "y"),
                      "boolean": ("x", "y", "z")}
+
+
+@dataclass(frozen=True)
+class TheoremReport:
+    """What verify_theorems decides for one poset: the seven verdicts, the
+    size of the logic, the equivalences violated, and the witnesses.
+
+    witnesses maps each failing predicate to the raw witness its standalone
+    procedure names: element indices for the N quads and the incompatible
+    pair, masks for the Dacey pair and the oml and boolean logic elements.
+    The census tallies these reports and build_report puts them in labels.
+    """
+
+    n_free: bool
+    weak_n_free: bool
+    dacey: bool
+    compatible: bool
+    oml: bool
+    boolean: bool
+    chain_antichain: bool
+    lattice_size: int
+    violations: tuple[str, ...]
+    witnesses: dict[str, tuple[int, ...]]
+
+
+def verify_theorems(p: Poset,
+                    max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
+    """The one decision pass: all seven predicates of one poset, the
+    equivalence checks and the witness of every failing predicate.  The
+    Dacey test and the logic share one orthoclosed family and perp table."""
+    found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
+                                      find_weak_n(p)) if w is not None}
+    o = incomparability_orthoset(p)
+    # the lattice cap is checked before the Dacey scan walks the family
+    logic = build_logic(o, max_lattice)
+    family = logic.elements
+    found["dacey"] = _dacey(o, family)[1]
+    found["compatible"] = is_compatible(o)[1]
+    # the logic names its elements by index; witnesses carry their masks
+    for name, (_, idx) in (("oml", is_orthomodular(logic)),
+                           ("boolean", is_boolean(logic))):
+        if idx is not None:
+            found[name] = tuple(family[i] for i in idx)
+    witnesses = {k: w for k, w in found.items() if w is not None}
+
+    n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
+        kind not in witnesses for kind in
+        ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
+    chain_antichain = chain_antichain_property(p)
+
+    violations = [name for name, lhs, rhs in (
+        ("n_free vs dacey", n_free, dacey),
+        ("n_free vs oml", n_free, oml),
+        ("n_free vs chain_antichain", n_free, chain_antichain),
+        ("n_free vs covering_n_free", n_free, cov_n_free),
+        ("weak_n_free vs compatible", weak_free, compatible),
+        ("weak_n_free vs boolean", weak_free, boolean),
+        ("compatible vs boolean", compatible, boolean),
+    ) if lhs != rhs]
+    if weak_free and not n_free:
+        violations.append("weak_n_free without n_free")
+    if boolean and not oml:
+        violations.append("boolean without oml")
+
+    return TheoremReport(n_free, weak_free, dacey, compatible, oml, boolean,
+                         chain_antichain, len(family), tuple(violations),
+                         witnesses)
 
 
 @dataclass(frozen=True)

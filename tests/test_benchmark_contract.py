@@ -1,6 +1,7 @@
 """The benchmark's contract with the program: one traced round of the census
-and analyze workloads passes every correctness gate, and the census trace
-still sees the orthoclosed-family closure.
+and analyze workloads passes every correctness gate, the census trace
+still sees the orthoclosed-family closure, and the analyze trace sees the
+kernel calls inside verify_theorems.
 
 perfbench wraps public names of orthoposet (logic.enumerate_orthoclosed
 among them) to time each layer, so a refactor that stops calling through
@@ -57,4 +58,12 @@ def test_one_traced_round_passes_every_gate(name, bench):
                                extra)
     if name == "census":
         assert metrics["orthoset.family.s"] > 0
+        assert metrics["orthoset.family_size.sum"] > 0
+    else:
+        # verify_theorems calls these through report's globals, which the
+        # round wraps; orthoset.dacey.s stays 0, as it calls _dacey directly
+        for span in ("npatterns.witness.s", "bridges.orthoset.s",
+                     "orthoset.family.s", "orthoset.compatible.s",
+                     "logic.build.s", "logic.oml.s", "logic.boolean.s"):
+            assert metrics[span] > 0, span
         assert metrics["orthoset.family_size.sum"] > 0

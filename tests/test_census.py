@@ -12,7 +12,7 @@ from orthoposet.catalog import (chain, diamond22, n_poset,
 from orthoposet.census import (census_run, enumerate_labeled_posets,
                                random_orthoset, random_poset,
                                search_counterexample, verify_theorems)
-from orthoposet import census
+from orthoposet import census, report
 from orthoposet.errors import OrthoposetError, SizeLimitError
 from orthoposet.npatterns import find_weak_n
 from orthoposet.orthoset import is_compatible, validate_orthoset
@@ -127,7 +127,7 @@ def test_wrong_boolean_verdict_is_a_violation(p, patched, expected,
                                               monkeypatch):
     # compatibility is decided without the logic, so it checks the Boolean
     # verdict on every poset the census visits
-    monkeypatch.setattr(census, "is_boolean", lambda logic: patched)
+    monkeypatch.setattr(report, "is_boolean", lambda logic: patched)
     assert verify_theorems(p).violations == expected
 
 
@@ -135,8 +135,8 @@ def test_lattice_cap_is_checked_before_the_dacey_scan(monkeypatch):
     # the logic of diamond22 has 6 elements; past the cap nothing walks
     # the family for Dacey before the error
     calls = []
-    dacey = census._dacey
-    monkeypatch.setattr(census, "_dacey",
+    dacey = report._dacey
+    monkeypatch.setattr(report, "_dacey",
                         lambda *args: calls.append(args) or dacey(*args))
     with pytest.raises(SizeLimitError,
                        match=r"^logic has 6 elements, cap is 4$"):
