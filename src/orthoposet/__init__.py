@@ -3,12 +3,10 @@
 The package decides, for any finite poset: whether it is N-free or weak-N
 free, whether its incomparability orthoset is Dacey or compatible, and
 whether the lattice of orthoclosed sets is orthomodular or Boolean.  The
-census machinery re-verifies the claimed equivalences between these
-properties exhaustively over all small posets and on randomized samples.
-N-free, Dacey, orthomodular and the chain-antichain property do form one
-provably equivalent cluster; compatible and Boolean form another; the
-absence of weak Ns is implied by the second cluster but, contrary to a
-natural conjecture, does not imply it (see catalog.weak_nfree_incompatible).
+census machinery re-checks the claimed equivalences and implications
+between these properties exhaustively over all small posets and on
+randomized samples; report.CLAIMS lists them, with the catalog poset that
+refutes each false one.
 """
 
 from .bitset import bits, format_subset, mask_of, maximal_cliques, subset_labels

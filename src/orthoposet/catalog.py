@@ -43,9 +43,10 @@ def weak_nfree_incompatible() -> Poset:
     the single middle element blocks both.  Yet the pair (a1, c1) is
     incompatible: the closures of {a1} and {c1} are the singletons
     themselves, which are disjoint although a1 and c1 are comparable.  So
-    the absence of weak Ns does not force compatibility; the census finds
-    exactly the 30 labelings of this poset as violations at size 5.  The
-    converse direction does hold: a weak N always destroys compatibility.
+    the absence of weak Ns does not force compatibility: this poset refutes
+    the claims weak_n_free vs compatible and weak_n_free vs boolean of
+    report.CLAIMS, and the census finds exactly its 30 labelings as
+    violations at size 5.  A weak N does always destroy compatibility.
     """
     labels = ("a1", "a2", "m", "c1", "c2")
     return poset_from_covers(5, [(0, 2), (1, 2), (2, 3), (2, 4)],

@@ -1,19 +1,11 @@
 """Full analysis of one poset, with witnesses, as a stable JSON document.
 
 verify_theorems, the one decision pass, decides seven predicates and names
-each equivalence or one-way fact it finds broken, as one of the violations
-
-  n_free vs {dacey, oml, chain_antichain, covering_n_free}
-  weak_n_free vs {compatible, boolean}      compatible vs boolean
-  weak_n_free without n_free                boolean without oml
-
-where Dacey, compatible and the logic are those of the incomparability
-orthoset.  All but weak_n_free vs compatible and vs boolean verify clean at
-every size the census reaches.  Those two fail because weak-N-free does not
-imply compatible: catalog.weak_nfree_incompatible has no weak N yet fails
-compatibility, and its 30 labelings are the violations the census reports
-at n=5.  A weak N does imply incompatible, so compatible implies
-weak-N-free.
+each claim of CLAIMS it finds broken.  Dacey, compatible and the logic are
+those of the incomparability orthoset.  Every claim without a refuted_by
+holds at every size the census reaches; the ones with it fail because
+weak-N-free does not imply compatible.  A weak N does imply incompatible,
+so compatible implies weak-N-free.
 """
 
 from __future__ import annotations
@@ -24,6 +16,7 @@ from dataclasses import dataclass
 
 from .bitset import subset_labels
 from .bridges import incomparability_orthoset
+from .catalog import weak_nfree_incompatible
 from .logic import (DEFAULT_MAX_LATTICE, build_logic, is_boolean,
                     is_orthomodular)
 from .npatterns import (chain_antichain_property, find_covering_n, find_n,
@@ -38,6 +31,23 @@ from .orthoset import is_dacey  # noqa: F401
 _PREDICATES = ("n_free", "weak_n_free", "dacey", "compatible", "oml",
                "boolean", "chain_antichain")
 
+# the claims verify_theorems checks, in the order it names their violations:
+# (lhs, relation, rhs, refuted_by).  "vs" is an equivalence, broken when the
+# verdicts differ; "without" is lhs implies rhs, broken when lhs holds and
+# rhs fails.  A broken claim is named f"{lhs} {relation} {rhs}", and
+# refuted_by builds a poset that breaks a claim that is false.
+CLAIMS = (
+    ("n_free", "vs", "dacey", None),
+    ("n_free", "vs", "oml", None),
+    ("n_free", "vs", "chain_antichain", None),
+    ("n_free", "vs", "covering_n_free", None),
+    ("weak_n_free", "vs", "compatible", weak_nfree_incompatible),
+    ("weak_n_free", "vs", "boolean", weak_nfree_incompatible),
+    ("compatible", "vs", "boolean", None),
+    ("weak_n_free", "without", "n_free", None),
+    ("boolean", "without", "oml", None),
+)
+
 # label-level shape of each raw witness: a list of element labels under one
 # key, or one label list per subset mask under the given keys
 _ELEMENT_WITNESSES = {"n": "quad", "covering_n": "quad", "weak_n": "quad",
@@ -49,7 +59,7 @@ _SUBSET_WITNESSES = {"dacey": ("closed_set", "basis"), "oml": ("x", "y"),
 @dataclass(frozen=True)
 class TheoremReport:
     """What verify_theorems decides for one poset: the seven verdicts, the
-    size of the logic, the equivalences violated, and the witnesses.
+    size of the logic, the names of the CLAIMS broken, and the witnesses.
 
     witnesses maps each failing predicate to the raw witness its standalone
     procedure names: element indices for the N quads and the incompatible
@@ -72,7 +82,7 @@ class TheoremReport:
 def verify_theorems(p: Poset,
                     max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """The one decision pass: all seven predicates of one poset, the
-    equivalence checks and the witness of every failing predicate.  The
+    CLAIMS it breaks and the witness of every failing predicate.  The
     Dacey test and the logic share one orthoclosed family and perp table."""
     found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
                                       find_weak_n(p)) if w is not None}
@@ -89,28 +99,18 @@ def verify_theorems(p: Poset,
             found[name] = tuple(family[i] for i in idx)
     witnesses = {k: w for k, w in found.items() if w is not None}
 
-    n_free, cov_n_free, weak_free, dacey, compatible, oml, boolean = (
-        kind not in witnesses for kind in
-        ("n", "covering_n", "weak_n", "dacey", "compatible", "oml", "boolean"))
-    chain_antichain = chain_antichain_property(p)
-
-    violations = [name for name, lhs, rhs in (
-        ("n_free vs dacey", n_free, dacey),
-        ("n_free vs oml", n_free, oml),
-        ("n_free vs chain_antichain", n_free, chain_antichain),
-        ("n_free vs covering_n_free", n_free, cov_n_free),
-        ("weak_n_free vs compatible", weak_free, compatible),
-        ("weak_n_free vs boolean", weak_free, boolean),
-        ("compatible vs boolean", compatible, boolean),
-    ) if lhs != rhs]
-    if weak_free and not n_free:
-        violations.append("weak_n_free without n_free")
-    if boolean and not oml:
-        violations.append("boolean without oml")
-
-    return TheoremReport(n_free, weak_free, dacey, compatible, oml, boolean,
-                         chain_antichain, len(family), tuple(violations),
-                         witnesses)
+    verdicts = {"n_free": "n" not in witnesses,
+                "covering_n_free": "covering_n" not in witnesses,
+                "weak_n_free": "weak_n" not in witnesses,
+                "chain_antichain": chain_antichain_property(p)}
+    for kind in ("dacey", "compatible", "oml", "boolean"):
+        verdicts[kind] = kind not in witnesses
+    violations = tuple([
+        f"{lhs} {relation} {rhs}" for lhs, relation, rhs, _ in CLAIMS
+        if (verdicts[lhs] != verdicts[rhs] if relation == "vs"
+            else verdicts[lhs] and not verdicts[rhs])])
+    return TheoremReport(*[verdicts[name] for name in _PREDICATES],
+                         len(family), violations, witnesses)
 
 
 @dataclass(frozen=True)

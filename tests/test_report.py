@@ -4,6 +4,7 @@ import importlib
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -14,11 +15,13 @@ from orthoposet.bridges import incomparability_orthoset
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
                                 nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
-from orthoposet.census import enumerate_labeled_posets, random_poset
+from orthoposet.census import (_poset_classes, enumerate_labeled_posets,
+                               random_poset)
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.npatterns import find_covering_n, find_n, find_weak_n
 from orthoposet.orthoset import is_compatible, is_dacey
-from orthoposet.report import build_report, emit_json_report
+from orthoposet.report import (CLAIMS, build_report, emit_json_report,
+                               verify_theorems)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json")
@@ -121,6 +124,46 @@ def test_timing_is_opt_in():
 def test_reports_validate_on_random_posets():
     for seed in range(15):
         validate(emit_json_report(build_report(random_poset(9, seed))))
+
+
+def claim_name(row) -> str:
+    lhs, relation, rhs, _ = row
+    return f"{lhs} {relation} {rhs}"
+
+
+REFUTED = [row for row in CLAIMS if row[3] is not None]
+
+
+def test_claims_compose_the_violation_names_in_order():
+    names = [claim_name(row) for row in CLAIMS]
+    assert names == [
+        "n_free vs dacey", "n_free vs oml", "n_free vs chain_antichain",
+        "n_free vs covering_n_free", "weak_n_free vs compatible",
+        "weak_n_free vs boolean", "compatible vs boolean",
+        "weak_n_free without n_free", "boolean without oml"]
+    assert len(set(names)) == len(names)
+    assert all(relation in ("vs", "without") for _, relation, _, _ in CLAIMS)
+
+
+def test_each_refuted_claim_is_broken_by_its_catalog_poset():
+    assert [claim_name(row) for row in REFUTED] == [
+        "weak_n_free vs compatible", "weak_n_free vs boolean"]
+    for row in REFUTED:
+        assert claim_name(row) in verify_theorems(row[3]()).violations
+
+
+def test_only_the_refuted_claims_break_to_six_elements():
+    # per claim, the number of classes on n elements that break it
+    broken = {claim_name(row): Counter() for row in REFUTED}
+    classes = 0
+    for n, level in _poset_classes(6):
+        for p, _ in level:
+            classes += 1
+            for name in verify_theorems(p).violations:
+                assert name in broken, (p.up, name)
+                broken[name][n] += 1
+    assert classes == 405
+    assert all(count == {5: 1, 6: 8} for count in broken.values())
 
 
 def standalone_witnesses(p) -> dict[str, dict]:
