@@ -10,8 +10,7 @@ from orthoposet.census import (_enumerate_rows, _poset_classes,
                                random_orthoset)
 from orthoposet.errors import SizeLimitError
 from orthoposet import logic as logic_module
-from orthoposet.logic import (_logic_from_family, build_logic, is_boolean,
-                              is_orthomodular)
+from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.orthoset import Orthoset
 
 from oracles import (brute_distributivity_witness, brute_join_table,
@@ -125,8 +124,14 @@ def test_boolean_implies_orthomodular():
 
 
 def test_lattice_size_cap():
+    o = incomparability_orthoset(diamond22())
     with pytest.raises(SizeLimitError):
-        build_logic(incomparability_orthoset(diamond22()), max_lattice=4)
+        build_logic(o, max_lattice=4)
+    # the cap admits a logic of exactly cap elements and no more
+    assert build_logic(o, max_lattice=6).m == 6
+    with pytest.raises(SizeLimitError,
+                       match=r"^logic has 6 elements, cap is 5$"):
+        build_logic(o, max_lattice=5)
 
 
 def _assert_logic_matches_oracles(o: Orthoset):
@@ -175,37 +180,6 @@ def test_boolean_against_triple_oracle_catalog():
     _assert_logic_matches_oracles(path_orthoset(4))
 
 
-def test_logic_rejects_family_not_closed_under_meet():
-    # no orthogonality on 3 elements: the closed sets are only {} and all.
-    # {0,1} and {1,2} have perp {} like every nonempty set, so the
-    # orthocomplement check passes and their meet {1} is the first failure
-    with pytest.raises(AssertionError,
-                       match=r"meet of elements 1, 2 is not orthoclosed"):
-        _logic_from_family(Orthoset((0, 0, 0)), [0b000, 0b011, 0b110, 0b111])
-
-
-def test_logic_rejects_perp_outside_family():
-    # 0 and 1 orthogonal: the perp of {0} is {1}, left out of the family
-    with pytest.raises(AssertionError,
-                       match=r"perp of element 1 left the family"):
-        _logic_from_family(Orthoset((0b10, 0b01)), [0b00, 0b01, 0b11])
-
-
-@pytest.mark.parametrize("adj, elements", [
-    # no orthogonality on 2 elements: {0} has perp {} and double perp
-    # {0,1}, so it is not closed
-    ((0, 0), [0b00, 0b01, 0b11]),
-    # 0 and 1 orthogonal: {} and {0,1} are closed and each other's perp,
-    # but {0,1} meets the point perp {1} of 0 outside the family
-    ((0b10, 0b01), [0b00, 0b11]),
-])
-def test_logic_rejects_element_that_is_not_closed(adj, elements):
-    # every perp and every pairwise meet of the family lands back in it
-    with pytest.raises(AssertionError,
-                       match=r"element 1 is not orthoclosed, or its meet"):
-        _logic_from_family(Orthoset(adj), elements)
-
-
 def test_boolean_rejects_non_distributive_verdict_without_witness(
         monkeypatch):
     # Birkhoff's helper patched to name an atom of the four-element Boolean
@@ -225,6 +199,8 @@ def test_decisions_build_no_tables(p):
     # orthomodularity and Booleanness run on the masks; the tables stay
     # unbuilt until something reads them
     logic = build_logic(incomparability_orthoset(p))
+    # building runs no self-check: not even the element perps are read
+    assert "_perp" not in logic.__dict__
     is_orthomodular(logic)
     is_boolean(logic)
     assert not {"ocompl", "leq", "meet", "join"} & logic.__dict__.keys()

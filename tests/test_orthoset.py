@@ -8,7 +8,11 @@ import random
 import pytest
 
 from orthoposet import orthoset
-from orthoposet.catalog import path_orthoset
+from orthoposet.bridges import (incomparability_orthoset,
+                                strict_comparability_orthoset)
+from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
+                                nfree_strict_non_dacey, path_orthoset,
+                                weak_nfree_incompatible)
 from orthoposet.census import _poset_classes, random_orthoset
 from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
                                SizeLimitError)
@@ -133,9 +137,17 @@ def test_size_caps(monkeypatch):
 
 
 def test_closed_family_against_filter():
-    for seed in range(60):
-        n = seed % 9 + 1
-        o = random_orthoset(n, seed)
+    # random orthosets, and both orthosets of every class to n = 6 and of
+    # the catalog posets: the census reads the incomparability family, the
+    # search's strict Dacey test the strict-comparability one
+    orthosets = [random_orthoset(seed % 9 + 1, seed) for seed in range(60)]
+    posets = [p for _n, classes in _poset_classes(6) for p, _aut in classes]
+    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
+               nfree_strict_non_dacey(), chain(4), antichain(4)]
+    for p in posets:
+        orthosets += [incomparability_orthoset(p),
+                      strict_comparability_orthoset(p)]
+    for o in orthosets:
         assert enumerate_orthoclosed(o) == brute_closed_sets(o.adj, o.n)
 
 
