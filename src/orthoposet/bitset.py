@@ -33,17 +33,6 @@ def format_subset(mask: int, labels: Sequence[str]) -> str:
     return "{" + ",".join(subset_labels(mask, labels)) + "}"
 
 
-def is_clique(adj: Sequence[int], sub: int) -> bool:
-    """True iff the members of sub are pairwise adjacent (adj irreflexive)."""
-    rest = sub
-    while rest:
-        low = rest & -rest
-        if sub & ~adj[low.bit_length() - 1] != low:
-            return False
-        rest ^= low
-    return True
-
-
 def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
     """All maximal cliques of the graph induced on the vertex set sub.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .bitset import bits, is_clique, maximal_cliques
+from .bitset import bits, maximal_cliques
 from .errors import OrthoposetError, SizeLimitError
 from .poset import DEFAULT_MAX_ELEMENTS, cached
 
@@ -152,24 +152,54 @@ def bases(o: Orthoset, x: int) -> list[int]:
 
 def _dacey(o: Orthoset, family: Sequence[int],
            ) -> tuple[bool, tuple[int, int] | None]:
-    # is_dacey on a family already built, so a caller that also builds the
-    # logic computes the family once
-    adj = o.adj
-    for x in family:
-        if is_clique(adj, x):
-            continue  # a clique is its own only basis, so it cannot fail
-        px = perp(o, x)
-        for b in maximal_cliques(adj, x):
-            if perp(o, b) & ~px:
-                return False, (x, b)
-    return True, None
+    """is_dacey on the orthoclosed family, given in ascending mask order.
+
+    A caller that also builds the logic computes the family once.  The
+    scan rests on four facts about an orthoclosed x:
+
+    1. A clique c inside x is a basis of x iff x & perp(c) is empty.
+    2. So x fails iff some clique closure y = cl(c), a proper subset of
+       x, has x & perp(y) empty (c is then a basis with cl(c) != x).
+    3. Then for every v in x outside y, w = cl(y | {v}) lies inside x and
+       fails too, with the same basis c.  So the least failing set is the
+       least such w, and its first failing basis is the witness.
+    4. A closed set that is no clique closure fails, so it is at or above
+       the least failing set and the scan has found that set before it
+       reaches it.  Every y the scan extends is thus a clique closure.
+
+    So the scan takes each y below the least failing set found so far and
+    each v outside y and perp(y), and w = perp(perp(y) & adj[v]) fails
+    when it misses perp(y).  That costs O(|family| * n) perps, and
+    maximal_cliques runs only once, on the least failing set.
+    """
+    adj, full = o.adj, o.full
+    least = full + 1  # above every mask: nothing has failed yet
+    for y in family:
+        if y >= least:
+            break
+        py = perp(o, y)
+        rest = full & ~(y | py)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = perp(o, py & adj[low.bit_length() - 1])
+            if not w & py and w < least:
+                least = w
+    if least > full:
+        return True, None
+    pl = perp(o, least)
+    return False, (least, next(b for b in maximal_cliques(adj, least)
+                               if perp(o, b) & ~pl))
 
 
 def is_dacey(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     """Decide the Dacey property; witness is the first failing (x, basis) pair.
 
-    Scans orthoclosed sets ascending by mask, bases ascending within each.
-    Raises SizeLimitError past the family cap.
+    Dacey's criterion: every basis of every orthoclosed x spans x, that is,
+    its perp lies inside perp(x).  The witness is the least failing x by
+    mask value with its least failing basis, found by extending clique
+    closures one element at a time, as _dacey proves.  Raises
+    SizeLimitError past the family cap.
     """
     return _dacey(o, enumerate_orthoclosed(o))
 

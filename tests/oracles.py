@@ -9,7 +9,9 @@ formulation: joins as the double perp of the union (brute_join_table),
 Booleanness as the distributive law on every triple
 (brute_distributivity_witness), orthomodularity as the orthomodular law on
 every comparable pair of closed sets (brute_orthomodular_witness) and
-compatibility as a common bound of the two perps (brute_compatible_pair).
+compatibility as a common bound of the two perps (brute_compatible_pair)
+and Dacey's criterion as a check of every basis of every closed set
+(brute_dacey), where the package extends clique closures instead.
 The last two sections are the exceptions.  The three basis criteria of the
 Dacey property and the mutual-perp check are stated on top of the
 package's perp and bases, so that tests can check the formulations against
@@ -183,7 +185,7 @@ def brute_hourglass(n: int, up: tuple[int, ...]) -> tuple | None:
 def brute_perp(adj: tuple[int, ...], n: int, x: int) -> int:
     out = 0
     for v in range(n):
-        if all(adj[v] >> u & 1 for u in members(x, n)):
+        if not x & ~adj[v]:  # every member of x is orthogonal to v
             out |= 1 << v
     return out
 
@@ -280,6 +282,19 @@ def brute_maximal_cliques(adj: tuple[int, ...], n: int, sub: int) -> list[int]:
             good.append(s)
     return sorted(s for s in good
                   if not any(t != s and t & s == s for t in good))
+
+
+def brute_dacey(adj: tuple[int, ...], n: int,
+                ) -> tuple[bool, tuple[int, int] | None]:
+    """Dacey's criterion by filters: (True, None), or (False, (x, b)) for
+    the first closed set x, ascending by mask, with a basis b, ascending
+    by mask, whose perp is not inside the perp of x."""
+    for x in brute_closed_sets(adj, n):
+        px = brute_perp(adj, n, x)
+        for b in brute_maximal_cliques(adj, n, x):
+            if brute_perp(adj, n, b) & ~px:
+                return False, (x, b)
+    return True, None
 
 
 def mutual_perp_condition(adj: tuple[int, ...], n: int, x: int, y: int) -> bool:

@@ -21,8 +21,9 @@ from orthoposet.orthoset import (Orthoset, bases, double_perp,
                                  enumerate_orthoclosed, is_compatible,
                                  is_dacey, is_orthoclosed, orthoset_from_pairs,
                                  perp, perp_table, validate_orthoset)
+from orthoposet.poset import poset_from_covers
 
-from oracles import (brute_closed_sets, brute_compatible_pair,
+from oracles import (brute_closed_sets, brute_compatible_pair, brute_dacey,
                      brute_maximal_cliques, brute_perp, dacey_subset_checks,
                      incomparability_adj, is_dacey_subset,
                      mutual_perp_condition, orthocomplement_pair_check)
@@ -224,6 +225,37 @@ def test_dacey_scan_matches_subset_checks():
             x, b = witness
             assert b in bases(o, x)
             assert perp(o, b) & ~perp(o, x)
+
+
+def test_dacey_against_brute_oracle():
+    # verdict and witness, on both orthosets of every class to n = 6, the
+    # catalog and random orthosets on up to 10 points
+    posets = [p for _n, classes in _poset_classes(6) for p, _aut in classes]
+    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
+               nfree_strict_non_dacey(), chain(4), antichain(4)]
+    orthosets = [path_orthoset(4)]
+    for p in posets:
+        orthosets += [incomparability_orthoset(p),
+                      strict_comparability_orthoset(p)]
+    orthosets += [random_orthoset(seed % 10 + 1, seed + 2600)
+                  for seed in range(200)]
+    for o in orthosets:
+        assert is_dacey(o) == brute_dacey(o.adj, o.n)
+
+
+def test_dacey_runs_clique_enumeration_only_on_the_failing_set(monkeypatch):
+    calls = []
+    cliques = orthoset.maximal_cliques
+    monkeypatch.setattr(orthoset, "maximal_cliques",
+                        lambda adj, sub: calls.append(sub) or cliques(adj, sub))
+    two_chains = poset_from_covers(20, [(2 * i, 2 * i + 1) for i in range(10)])
+    for p in (antichain(8), two_chains, nfree_strict_non_dacey()):
+        assert is_dacey(incomparability_orthoset(p)) == (True, None)
+    assert calls == []
+    # the README's N: closed set {a, c}, basis {a}
+    assert is_dacey(incomparability_orthoset(n_poset())) == (
+        False, (0b0101, 0b0001))
+    assert calls == [0b0101]
 
 
 def test_compatible_witness_is_least():
