@@ -137,18 +137,21 @@ def test_size_caps(monkeypatch):
         enumerate_orthoclosed(random_orthoset(16, 1))
 
 
-def test_closed_family_against_filter():
-    # random orthosets, and both orthosets of every class to n = 6 and of
-    # the catalog posets: the census reads the incomparability family, the
-    # search's strict Dacey test the strict-comparability one
-    orthosets = [random_orthoset(seed % 9 + 1, seed) for seed in range(60)]
+def _poset_orthosets():
+    """Both orthosets of every class to n = 6 and of the catalog posets:
+    the census reads the incomparability one, the search's strict Dacey
+    test the strict-comparability one."""
     posets = [p for _n, classes in _poset_classes(6) for p, _aut in classes]
     posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
                nfree_strict_non_dacey(), chain(4), antichain(4)]
-    for p in posets:
-        orthosets += [incomparability_orthoset(p),
-                      strict_comparability_orthoset(p)]
-    for o in orthosets:
+    return [make(p) for p in posets
+            for make in (incomparability_orthoset,
+                         strict_comparability_orthoset)]
+
+
+def test_closed_family_against_filter():
+    orthosets = [random_orthoset(seed % 9 + 1, seed) for seed in range(60)]
+    for o in orthosets + _poset_orthosets():
         assert enumerate_orthoclosed(o) == brute_closed_sets(o.adj, o.n)
 
 
@@ -228,15 +231,8 @@ def test_dacey_scan_matches_subset_checks():
 
 
 def test_dacey_against_brute_oracle():
-    # verdict and witness, on both orthosets of every class to n = 6, the
-    # catalog and random orthosets on up to 10 points
-    posets = [p for _n, classes in _poset_classes(6) for p, _aut in classes]
-    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
-               nfree_strict_non_dacey(), chain(4), antichain(4)]
-    orthosets = [path_orthoset(4)]
-    for p in posets:
-        orthosets += [incomparability_orthoset(p),
-                      strict_comparability_orthoset(p)]
+    # verdict and witness, also on random orthosets on up to 10 points
+    orthosets = [path_orthoset(4)] + _poset_orthosets()
     orthosets += [random_orthoset(seed % 10 + 1, seed + 2600)
                   for seed in range(200)]
     for o in orthosets:
