@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .poset import Poset, maximal_antichains, maximal_chains
+from .poset import Poset, maximal_antichains
 
 NKind = Literal["n", "covering_n", "weak_n"]
 
@@ -88,8 +88,26 @@ def find_weak_n(p: Poset) -> NWitness | None:
 def chain_antichain_property(p: Poset) -> bool:
     """True iff every maximal chain meets every maximal antichain.
 
-    Chains and antichains are nonempty subsets, so the empty poset satisfies
-    this vacuously.
+    A maximal chain is exactly a cover path from a minimal element to a
+    maximal one: its least element has nothing below it, its greatest
+    nothing above, and consecutive members are covers, or the chain would
+    extend; such a path extends by no z, since z would lie below it, above
+    it or strictly between two consecutive members.  So a maximal
+    antichain A misses some maximal chain iff a cover path inside P - A
+    runs from a minimal element to a maximal one, which one bitset
+    reachability pass over cover_up decides.  Chains and antichains are
+    nonempty subsets, so the empty poset satisfies this vacuously.
     """
-    antichains = maximal_antichains(p)
-    return all(c & a for c in maximal_chains(p) for a in antichains)
+    cover_up = p.cover_up
+    minimal = sum(1 << x for x, row in enumerate(p.down) if not row)
+    maximal = sum(1 << x for x, row in enumerate(p.up) if not row)
+    for a in maximal_antichains(p):
+        todo = reached = minimal & ~a
+        while todo:
+            low = todo & -todo
+            new = cover_up[low.bit_length() - 1] & ~(a | reached)
+            reached |= new
+            todo ^= low | new
+        if reached & maximal:
+            return False
+    return True

@@ -119,25 +119,20 @@ def is_orthoclosed(o: Orthoset, x: int) -> bool:
 def enumerate_orthoclosed(o: Orthoset) -> list[int]:
     """All orthoclosed subsets, sorted ascending by mask value.
 
-    Intersections of point perps are closed under intersection and contain
-    every orthoclosed set, so the family is built by a worklist closure
-    instead of filtering all 2**n subsets.  Raises SizeLimitError when the
-    family would exceed DEFAULT_MAX_FAMILY.
+    The orthoclosed sets are the perps, that is the intersections of point
+    rows, so the family is built by doubling, as perp_table is: after row i
+    it holds every intersection of rows 0..i.  It only grows, so the row
+    that takes it past DEFAULT_MAX_FAMILY raises SizeLimitError, before its
+    new sets are merged: at most twice the cap's masks are ever held.
     """
-    # close {full}, the empty intersection, under x -> x & adj[i]
-    adj, full = o.adj, o.full
-    seen = {full}
-    stack = [full]
-    while stack:
-        s = stack.pop()
-        for row in adj:
-            t = s & row
-            if t not in seen:
-                if len(seen) >= DEFAULT_MAX_FAMILY:
-                    raise SizeLimitError(
-                        f"orthoclosed family exceeds cap {DEFAULT_MAX_FAMILY}")
-                seen.add(t)
-                stack.append(t)
+    seen = {o.full}
+    for row in o.adj:
+        new = {t & row for t in seen}
+        new -= seen
+        if len(seen) + len(new) > DEFAULT_MAX_FAMILY:
+            raise SizeLimitError(
+                f"orthoclosed family exceeds cap {DEFAULT_MAX_FAMILY}")
+        seen |= new
     return sorted(seen)
 
 

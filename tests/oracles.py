@@ -8,10 +8,14 @@ package decides a fact by one formula, the oracle is its second
 formulation: joins as the double perp of the union (brute_join_table),
 Booleanness as the distributive law on every triple
 (brute_distributivity_witness), orthomodularity as the orthomodular law on
-every comparable pair of closed sets (brute_orthomodular_witness) and
-compatibility as a common bound of the two perps (brute_compatible_pair)
-and Dacey's criterion as a check of every basis of every closed set
-(brute_dacey), where the package extends clique closures instead.
+every comparable pair of closed sets (brute_orthomodular_witness), where
+the package extends each closed set by one point, compatibility as a
+common bound of the two perps (brute_compatible_pair), Dacey's criterion
+as a check of every basis of every closed set (brute_dacey), where the
+package extends clique closures instead, and the chain-antichain property
+as every filtered maximal chain meeting every filtered maximal antichain
+(brute_chain_antichain), where the package walks cover paths around each
+maximal antichain.
 The last two sections are the exceptions.  The three basis criteria of the
 Dacey property and the mutual-perp check are stated on top of the
 package's perp and bases, so that tests can check the formulations against
@@ -91,6 +95,13 @@ def brute_maximal_antichains(n: int, up: tuple[int, ...]) -> list[int]:
             good.append(s)
     return sorted(s for s in good
                   if not any(t != s and t & s == s for t in good))
+
+
+def brute_chain_antichain(n: int, up: tuple[int, ...]) -> bool:
+    """Every maximal chain meets every maximal antichain, both found by
+    filtering all subsets; the empty poset has neither, so it passes."""
+    antichains = brute_maximal_antichains(n, up)
+    return all(c & a for c in brute_maximal_chains(n, up) for a in antichains)
 
 
 def brute_covers(n: int, up: tuple[int, ...]) -> set[tuple[int, int]]:

@@ -193,6 +193,30 @@ def test_boolean_rejects_non_distributive_verdict_without_witness(
         is_boolean(logic)
 
 
+def test_orthomodular_scans_pairs_only_for_the_witness(monkeypatch):
+    # the verdict comes from one-point extensions; the pair scan runs only
+    # on a logic that is not orthomodular, to name its witness
+    calls = []
+    scan = logic_module._oml_witness
+    monkeypatch.setattr(logic_module, "_oml_witness",
+                        lambda l: calls.append(l.m) or scan(l))
+    for p in (antichain(8), diamond22(), nfree_strict_non_dacey()):
+        assert is_orthomodular(
+            build_logic(incomparability_orthoset(p))) == (True, None)
+    assert calls == []
+    assert is_orthomodular(
+        build_logic(incomparability_orthoset(n_poset()))) == (False, (1, 2))
+    assert calls == [6]
+
+
+def test_orthomodular_witness_scan_asserts_its_witness():
+    # the pair scan, given an orthomodular logic, finds no failing pair
+    logic = build_logic(incomparability_orthoset(diamond22()))
+    with pytest.raises(AssertionError,
+                       match=r"^no witness for a non-orthomodular logic$"):
+        logic_module._oml_witness(logic)
+
+
 @pytest.mark.parametrize("p", [antichain(4), n_poset()],
                          ids=["antichain4", "n_poset"])
 def test_decisions_build_no_tables(p):

@@ -1,13 +1,15 @@
 """N, covering-N and weak-N detection against direct quantifier scans."""
 
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
+                                nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
-from orthoposet.census import enumerate_labeled_posets, random_poset
+from orthoposet.census import (_poset_classes, enumerate_labeled_posets,
+                               random_poset)
 from orthoposet.npatterns import (chain_antichain_property, find_covering_n,
                                   find_n, find_weak_n, is_n_free)
 from orthoposet.poset import dual
 
-from oracles import brute_n_quads
+from oracles import brute_chain_antichain, brute_n_quads
 
 
 def test_n_poset_witnesses():
@@ -36,6 +38,22 @@ def test_chain_antichain_fixtures():
     assert chain_antichain_property(diamond22())
     assert chain_antichain_property(chain(4))
     assert chain_antichain_property(antichain(4))
+
+
+def test_chain_antichain_against_subset_filter():
+    # every class to n = 6, the catalog and random posets on 1 to 12
+    # elements, against maximal chains and antichains found by filtering
+    posets = [p for _n, classes in _poset_classes(6) for p, _aut in classes]
+    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
+               nfree_strict_non_dacey(), chain(4), antichain(4)]
+    posets += [random_poset(seed % 12 + 1, seed + 3100, (seed % 5 + 1) / 10)
+               for seed in range(200)]
+    verdicts = set()
+    for p in posets:
+        verdict = chain_antichain_property(p)
+        assert verdict == brute_chain_antichain(p.n, p.up)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_detectors_against_quad_scan_exhaustive():

@@ -137,6 +137,18 @@ def test_size_caps(monkeypatch):
         enumerate_orthoclosed(random_orthoset(16, 1))
 
 
+def test_family_cap_is_exact(monkeypatch):
+    # the incomparability orthoset of a 3-antichain has all 8 subsets
+    # closed: a cap of 8 admits them, a cap of 7 raises
+    o = incomparability_orthoset(antichain(3))
+    monkeypatch.setattr(orthoset, "DEFAULT_MAX_FAMILY", 8)
+    assert enumerate_orthoclosed(o) == list(range(8))
+    monkeypatch.setattr(orthoset, "DEFAULT_MAX_FAMILY", 7)
+    with pytest.raises(SizeLimitError,
+                       match=r"^orthoclosed family exceeds cap 7$"):
+        enumerate_orthoclosed(o)
+
+
 def _poset_orthosets():
     """Both orthosets of every class to n = 6 and of the catalog posets:
     the census reads the incomparability one, the search's strict Dacey
