@@ -27,15 +27,15 @@ def strict_comparability_orthoset(p: Poset) -> Orthoset:
 def ud_decomposition(p: Poset, x: int) -> tuple[int, int]:
     """Split the complement of x and its perp into upper and lower parts.
 
-    x must be orthoclosed in the incomparability orthoset of p (checked
-    eagerly, raising NotOrthoclosedError).  Returns (u, d) where u holds the
-    elements above some member of x and above some member of perp(x), and d
-    the elements below some member of each.  For orthoclosed x these two
-    sets partition everything outside x and perp(x); that is asserted here
-    and verified independently in the tests.
+    x must be an orthoclosed subset of 0..n-1 in the incomparability
+    orthoset of p (checked first, raising NotOrthoclosedError).  It returns
+    (u, d): u holds the elements above some member of x and above some
+    member of perp(x), and d the elements below some member of each.  For
+    orthoclosed x these two sets partition everything outside x and perp(x);
+    that is asserted here and verified independently in the tests.
     """
     o = incomparability_orthoset(p)
-    if not is_orthoclosed(o, x):
+    if x & ~p.full or not is_orthoclosed(o, x):
         raise NotOrthoclosedError(
             f"subset {x:#x} is not orthoclosed in the incomparability orthoset")
     px = perp(o, x)

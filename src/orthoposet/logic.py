@@ -6,7 +6,7 @@ orthocomplementation.  A Logic holds only its orthoset and its elements,
 the orthoclosed masks in ascending order, and is decided on those masks:
 meet is &, the orthocomplement is the perp, and each join is taken by De
 Morgan, as the perp of the meet of the perps.  Orthomodularity is decided
-on the one-point extensions of each element, in O(m * n) perps, and
+by the family's one Dacey scan (Dacey's theorem), in O(m * n) perps, and
 Booleanness by Birkhoff's test, every join-irreducible element join-prime,
 on the point closures alone, in O(n**2) perps; only a logic that fails is
 scanned for its witness, over its comparable pairs or in one row of m**2
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import SizeLimitError
-from .orthoset import Orthoset, double_perp, enumerate_orthoclosed, perp
+from .orthoset import (Orthoset, _dacey, double_perp, enumerate_orthoclosed,
+                       perp)
 from .poset import cached
 
 DEFAULT_MAX_LATTICE = 4096
@@ -62,6 +63,11 @@ class Logic:
         # the perp of each element by its mask; meets of elements are
         # elements, so the decision procedures look their perps up here
         return {e: perp(self.orthoset, e) for e in self.elements}
+
+    @cached
+    def _dacey(self) -> tuple[bool, tuple[int, int] | None]:
+        # the one Dacey scan of this family; is_orthomodular reads its verdict
+        return _dacey(self.orthoset, self.elements)
 
     @cached
     def ocompl(self) -> tuple[int, ...]:
@@ -116,21 +122,15 @@ def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
     meet y = (y meet x-compl) meet (y meet x-compl)-compl = 0, so z = y.
     If x < y fails the form, a point v of y outside x is outside perp(x)
     too, and w = cl(x | {v}) = perp(perp(x) & adj[v]), inside y, misses
-    perp(x): x < w fails as well.  So the verdict extends each element by
-    one point, as _dacey does, in O(m * n) perps, and only a logic that is
-    not orthomodular is scanned, by _oml_witness, for its witness.
+    perp(x): x < w fails as well.  So the logic is orthomodular iff no
+    element has a failing one-point extension, and those are exactly the
+    extensions _dacey tests: the verdict is the Dacey scan, which is
+    Dacey's theorem.  Only a logic that is not orthomodular is scanned, by
+    _oml_witness, for its witness.
     """
-    o, perps = l.orthoset, l._perp
-    adj, full = o.adj, o.full
-    for x in l.elements:
-        px = perps[x]
-        rest = full & ~(x | px)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if not perp(o, px & adj[low.bit_length() - 1]) & px:
-                return False, _oml_witness(l)
-    return True, None
+    if l._dacey[0]:
+        return True, None
+    return False, _oml_witness(l)
 
 
 def _oml_witness(l: Logic) -> tuple[int, int]:

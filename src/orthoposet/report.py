@@ -21,10 +21,10 @@ from .logic import (DEFAULT_MAX_LATTICE, build_logic, is_boolean,
                     is_orthomodular)
 from .npatterns import (chain_antichain_property, find_covering_n, find_n,
                         find_weak_n)
-from .orthoset import _dacey, is_compatible
+from .orthoset import is_compatible
 from .poset import Poset
 
-# not called here (_dacey shares the logic's family); bound for the benchmark
+# unread here (verify_theorems reads logic._dacey); bound for the benchmark
 from .orthoset import is_dacey  # noqa: F401
 
 # the seven predicates, in the order CensusSummary counts them
@@ -82,15 +82,15 @@ class TheoremReport:
 def verify_theorems(p: Poset,
                     max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
     """The one decision pass: all seven predicates of one poset, the
-    CLAIMS it breaks and the witness of every failing predicate.  The
-    Dacey test and the logic share one orthoclosed family and perp table."""
+    CLAIMS it breaks and the witness of every failing predicate.  One
+    Dacey scan of the logic's family decides Dacey and orthomodularity."""
     found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
                                       find_weak_n(p)) if w is not None}
     o = incomparability_orthoset(p)
     # the lattice cap is checked before the Dacey scan walks the family
     logic = build_logic(o, max_lattice)
     family = logic.elements
-    found["dacey"] = _dacey(o, family)[1]
+    found["dacey"] = logic._dacey[1]
     found["compatible"] = is_compatible(o)[1]
     # the logic names its elements by index; witnesses carry their masks
     for name, (_, idx) in (("oml", is_orthomodular(logic)),

@@ -9,7 +9,8 @@ formulation: joins as the double perp of the union (brute_join_table),
 Booleanness as the distributive law on every triple
 (brute_distributivity_witness), orthomodularity as the orthomodular law on
 every comparable pair of closed sets (brute_orthomodular_witness), where
-the package extends each closed set by one point, compatibility as a
+the package reads the verdict of its Dacey scan (Dacey's theorem; the
+tests also hold the two oracles to each other), compatibility as a
 common bound of the two perps (brute_compatible_pair), Dacey's criterion
 as a check of every basis of every closed set (brute_dacey), where the
 package extends clique closures instead, and the chain-antichain property

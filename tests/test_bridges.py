@@ -47,8 +47,10 @@ def test_ud_fixtures():
 
 
 def test_ud_requires_orthoclosed():
-    with pytest.raises(NotOrthoclosedError):
-        ud_decomposition(weak_nfree_incompatible(), 0b00011)
+    # a set that is not orthoclosed, and masks with bits outside 0..n-1
+    for x in (0b00011, -1, 1 << 8):
+        with pytest.raises(NotOrthoclosedError):
+            ud_decomposition(weak_nfree_incompatible(), x)
 
 
 def test_ud_partitions_exhaustively():

@@ -6,14 +6,16 @@ import os
 import pytest
 
 from orthoposet.bridges import incomparability_orthoset
-from orthoposet.catalog import (chain, diamond22, n_poset,
+from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
                                 nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
 from orthoposet.census import (census_run, enumerate_labeled_posets,
                                random_orthoset, random_poset,
                                search_counterexample, verify_theorems)
 from orthoposet import census, report
+from orthoposet import logic as logic_module
 from orthoposet.errors import OrthoposetError, SizeLimitError
+from orthoposet.logic import is_orthomodular
 from orthoposet.npatterns import find_weak_n
 from orthoposet.orthoset import is_compatible, validate_orthoset
 from orthoposet.poset import from_up_rows, validate_poset
@@ -135,15 +137,27 @@ def test_lattice_cap_is_checked_before_the_dacey_scan(monkeypatch):
     # the logic of diamond22 has 6 elements; past the cap nothing walks
     # the family for Dacey before the error
     calls = []
-    dacey = report._dacey
-    monkeypatch.setattr(report, "_dacey",
+    dacey = logic_module._dacey
+    monkeypatch.setattr(logic_module, "_dacey",
                         lambda *args: calls.append(args) or dacey(*args))
     with pytest.raises(SizeLimitError,
                        match=r"^logic has 6 elements, cap is 4$"):
         verify_theorems(diamond22(), max_lattice=4)
     assert calls == []
-    verify_theorems(diamond22())
-    assert len(calls) == 1
+    # one scan decides Dacey and orthomodularity: is_orthomodular on the
+    # logic verify_theorems built, run afterwards, scans nothing more
+    logics = []
+    build = report.build_logic
+    monkeypatch.setattr(
+        report, "build_logic",
+        lambda *args: logics.append(build(*args)) or logics[-1])
+    for p in (diamond22(), n_poset(), antichain(8),
+              nfree_strict_non_dacey()):
+        calls.clear()
+        rep = verify_theorems(p)
+        assert len(calls) == 1
+        assert is_orthomodular(logics[-1])[0] == rep.oml == rep.dacey
+        assert len(calls) == 1
 
 
 def test_census_small_counts():

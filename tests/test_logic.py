@@ -194,8 +194,8 @@ def test_boolean_rejects_non_distributive_verdict_without_witness(
 
 
 def test_orthomodular_scans_pairs_only_for_the_witness(monkeypatch):
-    # the verdict comes from one-point extensions; the pair scan runs only
-    # on a logic that is not orthomodular, to name its witness
+    # the verdict comes from the Dacey scan; the pair scan runs only on a
+    # logic that is not orthomodular, to name its witness
     calls = []
     scan = logic_module._oml_witness
     monkeypatch.setattr(logic_module, "_oml_witness",

@@ -16,7 +16,7 @@ from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
 from orthoposet.census import _poset_classes, random_orthoset
 from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
                                SizeLimitError)
-from orthoposet.logic import build_logic
+from orthoposet.logic import build_logic, is_orthomodular
 from orthoposet.orthoset import (Orthoset, bases, double_perp,
                                  enumerate_orthoclosed, is_compatible,
                                  is_dacey, is_orthoclosed, orthoset_from_pairs,
@@ -24,9 +24,10 @@ from orthoposet.orthoset import (Orthoset, bases, double_perp,
 from orthoposet.poset import poset_from_covers
 
 from oracles import (brute_closed_sets, brute_compatible_pair, brute_dacey,
-                     brute_maximal_cliques, brute_perp, dacey_subset_checks,
-                     incomparability_adj, is_dacey_subset,
-                     mutual_perp_condition, orthocomplement_pair_check)
+                     brute_maximal_cliques, brute_orthomodular_witness,
+                     brute_perp, dacey_subset_checks, incomparability_adj,
+                     is_dacey_subset, mutual_perp_condition,
+                     orthocomplement_pair_check)
 
 
 def test_path_worked_example():
@@ -242,13 +243,30 @@ def test_dacey_scan_matches_subset_checks():
             assert perp(o, b) & ~perp(o, x)
 
 
+def _dacey_orthosets():
+    """The path, both orthosets of the classes and the catalog, and random
+    orthosets on up to 10 points."""
+    return [path_orthoset(4)] + _poset_orthosets() + [
+        random_orthoset(seed % 10 + 1, seed + 2600) for seed in range(200)]
+
+
 def test_dacey_against_brute_oracle():
-    # verdict and witness, also on random orthosets on up to 10 points
-    orthosets = [path_orthoset(4)] + _poset_orthosets()
-    orthosets += [random_orthoset(seed % 10 + 1, seed + 2600)
-                  for seed in range(200)]
-    for o in orthosets:
+    # verdict and witness
+    for o in _dacey_orthosets():
         assert is_dacey(o) == brute_dacey(o.adj, o.n)
+
+
+def test_dacey_theorem_between_the_oracles():
+    # Dacey's theorem, one brute oracle against the other: an orthoset is
+    # Dacey iff its logic is orthomodular.  The kernel takes both verdicts
+    # from one scan, so each is held here to its own oracle.
+    kinds = set()
+    for o in _dacey_orthosets():
+        oml = brute_orthomodular_witness(o.adj, o.n) is None
+        assert brute_dacey(o.adj, o.n)[0] == oml
+        assert is_orthomodular(build_logic(o))[0] == oml
+        kinds.add(oml)
+    assert kinds == {False, True}
 
 
 def test_dacey_runs_clique_enumeration_only_on_the_failing_set(monkeypatch):
