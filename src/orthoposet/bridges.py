@@ -9,6 +9,7 @@ both sides.
 
 from __future__ import annotations
 
+from .bitset import bits
 from .errors import NotOrthoclosedError
 from .orthoset import Orthoset, is_orthoclosed, perp
 from .poset import Poset
@@ -35,21 +36,17 @@ def ud_decomposition(p: Poset, x: int) -> tuple[int, int]:
     that is asserted here and verified independently in the tests.
     """
     o = incomparability_orthoset(p)
-    if x & ~p.full or not is_orthoclosed(o, x):
+    if not is_orthoclosed(o, x):
         raise NotOrthoclosedError(
             f"subset {x:#x} is not orthoclosed in the incomparability orthoset")
     px = perp(o, x)
     rest = p.full & ~(x | px)
-    u = 0
-    d = 0
-    for z in range(p.n):
-        zb = 1 << z
-        if not rest & zb:
-            continue
+    u = d = 0
+    for z in bits(rest):
         if p.down[z] & x and p.down[z] & px:
-            u |= zb
+            u |= 1 << z
         if p.up[z] & x and p.up[z] & px:
-            d |= zb
+            d |= 1 << z
     if (u | d) != rest or u & d:
         raise AssertionError("upper/lower split failed to partition the rest")
     return u, d

@@ -49,8 +49,8 @@ from multiprocessing import Pool
 from .bridges import strict_comparability_orthoset
 from .errors import OrthoposetError, SizeLimitError
 from .orthoset import Orthoset, is_dacey, orthoset_from_pairs
-from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _closure, _transpose,
-                    from_up_rows)
+from .poset import (DEFAULT_MAX_ELEMENTS, Poset, _transpose, from_up_rows,
+                    poset_from_covers)
 from .report import _PREDICATES, verify_theorems
 
 DEFAULT_CENSUS_CAP = 6
@@ -313,22 +313,20 @@ def random_poset(n: int, seed: int, edge_prob: float = 0.5,
     random.Random(seed).sample, then for each position pair i < j in
     row-major order keep the edge perm[i] < perm[j] with probability
     edge_prob (one rng.random() call per pair, in that order), and close
-    transitively.  Raises OrthoposetError if n is negative or edge_prob is
-    outside [0, 1], and SizeLimitError if n exceeds max_elements.
+    transitively.  Raises the size errors of poset_from_covers, and
+    OrthoposetError if edge_prob is outside [0, 1].
     """
-    if n < 0:
-        raise OrthoposetError(f"poset size must be non-negative, got {n}")
-    if n > max_elements:
-        raise SizeLimitError(f"poset has {n} elements, cap is {max_elements}")
-    _check_edge_prob(edge_prob)
-    rng = random.Random(seed)
-    perm = rng.sample(range(n), n)
-    succ = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                succ[perm[i]] |= 1 << perm[j]
-    return from_up_rows(_closure(succ), check=False)
+    def pairs() -> Iterator[tuple[int, int]]:
+        # lazy, so poset_from_covers checks n before edge_prob is checked
+        _check_edge_prob(edge_prob)
+        rng = random.Random(seed)
+        perm = rng.sample(range(n), n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < edge_prob:
+                    yield perm[i], perm[j]
+
+    return poset_from_covers(n, pairs(), max_elements=max_elements)
 
 
 def random_orthoset(n: int, seed: int, edge_prob: float = 0.5) -> Orthoset:
@@ -435,5 +433,5 @@ def search_counterexample(predicate: str, max_n: int,
         if hits:
             return from_up_rows(min(
                 (rows for p in hits for rows in _relabelings(p)),
-                key=_enumeration_key))
+                key=_enumeration_key), check=False)
     return None

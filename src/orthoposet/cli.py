@@ -78,22 +78,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 2
 
 
+# generate's kinds: whether --n is required, and the poset from the arguments
+_KINDS = {
+    "chain": (True, lambda a: chain(a.n)),
+    "antichain": (True, lambda a: antichain(a.n)),
+    "n": (False, lambda a: n_poset()),
+    "diamond22": (False, lambda a: diamond22()),
+    "random": (True, lambda a: random_poset(a.n, a.seed, a.edge_prob)),
+}
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind in ("chain", "antichain", "random") and args.n is None:
-        print(f"error: --n is required for kind {kind}", file=sys.stderr)
+    needs_n, make = _KINDS[args.kind]
+    if needs_n and args.n is None:
+        print(f"error: --n is required for kind {args.kind}", file=sys.stderr)
         return 1
-    if kind == "chain":
-        p = chain(args.n)
-    elif kind == "antichain":
-        p = antichain(args.n)
-    elif kind == "n":
-        p = n_poset()
-    elif kind == "diamond22":
-        p = diamond22()
-    else:
-        p = random_poset(args.n, args.seed, args.edge_prob)
-    sys.stdout.write(serialize_poset_file(p))
+    sys.stdout.write(serialize_poset_file(make(args)))
     return 0
 
 
@@ -151,8 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_search)
 
     sp = sub.add_parser("generate", help="write a named poset file")
-    sp.add_argument("--kind", required=True,
-                    choices=("chain", "antichain", "n", "diamond22", "random"))
+    sp.add_argument("--kind", required=True, choices=tuple(_KINDS))
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--edge-prob", type=float, default=0.5)

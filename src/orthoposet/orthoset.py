@@ -88,32 +88,29 @@ def perp_table(adj: Sequence[int], n: int) -> tuple[list[int], list[int]]:
     without it, ANDed with adj[i]).  Together they have about 2**(n/2 + 1)
     entries, 8192 at n = 24.
     """
-    h = n // 2
-    lo = [(1 << n) - 1]
-    for i in range(h):
-        row = adj[i]
-        lo += [t & row for t in lo]
-    hi = [(1 << n) - 1]
-    for i in range(h, n):
-        row = adj[i]
-        hi += [t & row for t in hi]
+    lo, hi = [(1 << n) - 1], [(1 << n) - 1]
+    for i, row in enumerate(adj):
+        half = lo if i < n // 2 else hi
+        half += [t & row for t in half]
     return lo, hi
 
 
 def perp(o: Orthoset, x: int) -> int:
-    """Elements orthogonal to everything in x; the full set when x is empty."""
+    """Elements orthogonal to everything in x; the full set when x is empty.
+    Unchecked, as the hot kernel: x must be a subset of 0..n-1."""
     lo, hi = o.table
     h = o.n // 2
     return lo[x & ((1 << h) - 1)] & hi[x >> h]
 
 
 def double_perp(o: Orthoset, x: int) -> int:
-    """Closure of x: the smallest orthoclosed superset."""
+    """Closure of x: the smallest orthoclosed superset; x as for perp."""
     return perp(o, perp(o, x))
 
 
 def is_orthoclosed(o: Orthoset, x: int) -> bool:
-    return double_perp(o, x) == x
+    """x equals its closure; False for a mask that is no subset of 0..n-1."""
+    return not x & ~o.full and double_perp(o, x) == x
 
 
 def enumerate_orthoclosed(o: Orthoset) -> list[int]:
@@ -140,8 +137,11 @@ def bases(o: Orthoset, x: int) -> list[int]:
     """Maximal pairwise-orthogonal subsets of x, sorted by mask value.
 
     These are the maximal cliques of the orthogonality graph induced on x.
-    The empty set has the single basis at the empty mask.
+    The empty set has the single basis at the empty mask.  Raises
+    ValueError when x is no subset of 0..n-1.
     """
+    if x & ~o.full:
+        raise ValueError(f"mask {x:#x} is not a subset of 0..{o.n - 1}")
     return maximal_cliques(o.adj, x)
 
 
@@ -204,7 +204,17 @@ def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
 
     A pair of non-orthogonal elements x, y is compatible when the closures
     of {x} and {y} intersect, which costs O(n**2) once the closures are
-    taken.
+    taken.  o is compatible iff its logic is Boolean.  In a Boolean logic,
+    cl(x) meet cl(y) = 0 puts cl(y) below cl(x)' = adj[x], so x and y are
+    orthogonal.  If o is compatible, disjoint closed A and B are
+    orthogonal, as non-orthogonal a in A and b in B would share a point of
+    cl(a) & cl(b), inside A & B.  So x <= y and x' meet y = 0 give y <= x,
+    Kalmbach's form of orthomodularity.  Then c = a meet (a meet b)' meets
+    b in 0, so c <= a meet b', and the law a = (a meet b) join c gives
+    (a meet b) join (a meet b'): every pair commutes, so it is Boolean.  An
+    incompatible (x, y) breaks distributivity on (cl x, cl y, adj[y]):
+    cl x meet (cl y join adj[y]) is cl x, which holds x, but cl x meets
+    cl y in 0 and adj[y] outside x.
     """
     adj, n = o.adj, o.n
     # closure of {x} is the perp of adj[x]

@@ -103,27 +103,14 @@ def _transpose(rows: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def _closure(succ: Sequence[int]) -> list[int]:
-    """Transitive closure of the edge rows succ: up[v] is everything
-    reachable from v, and v is in up[v] exactly when v lies on a cycle."""
-    up = list(succ)
-    # Warshall: after step k, up[v] holds every end of a path from v whose
-    # inner vertices all lie in 0..k
-    for k, row in enumerate(up):
-        bit = 1 << k
-        for v, r in enumerate(up):
-            if r & bit:
-                up[v] = r | row
-    return up
-
-
 def from_up_rows(up: Sequence[int], labels: Sequence[str] | None = None,
                  check: bool = True) -> Poset:
     """Build a Poset from strict-order rows.
 
     The rows must already describe a strict partial order (irreflexive,
-    antisymmetric, transitive); validate_poset checks exactly that.  Internal
-    bulk enumeration passes check=False for rows correct by construction.
+    antisymmetric, transitive); validate_poset checks exactly that, and the
+    labels.  Every builder in the package passes check=False, as its rows
+    are an order by construction.
     """
     p = Poset(tuple(up),
               _default_labels(len(up)) if labels is None else tuple(labels))
@@ -142,9 +129,10 @@ def poset_from_covers(
 
     The strict order is the transitive closure of the pairs; a pair that turns
     out to be transitively implied is tolerated (covers are recomputed from
-    the closed order).  Raises CycleError if the pairs admit a directed cycle,
-    SizeLimitError if n exceeds max_elements, OrthoposetError if n is
-    negative, IndexError on an out-of-range element.
+    the closed order).  The closure is an order by construction, so only the
+    inputs are checked: OrthoposetError if n is negative and SizeLimitError
+    past max_elements, before any pair is read; IndexError on an
+    out-of-range element, CycleError on a cycle, ValueError on bad labels.
     """
     if n < 0:
         raise OrthoposetError(f"poset size must be non-negative, got {n}")
@@ -152,15 +140,21 @@ def poset_from_covers(
         raise SizeLimitError(
             f"poset has {n} elements, cap is {max_elements}; "
             "raise max_elements to allow this")
-    succ = [0] * n
+    up = [0] * n
     for a, b in covers:
         if not (0 <= a < n and 0 <= b < n):
             raise IndexError(f"cover pair ({a}, {b}) out of range for n={n}")
         if a == b:
             raise CycleError(f"cover pair ({a}, {a}) relates an element to itself")
-        succ[a] |= 1 << b
-
-    up = _closure(succ)
+        up[a] |= 1 << b
+    # Warshall: after step k, up[v] holds every end of a path from v whose
+    # inner vertices all lie in 0..k, so at the end up[v] is everything
+    # reachable from v, and v is in up[v] exactly when v lies on a cycle
+    for k, row in enumerate(up):
+        bit = 1 << k
+        for v, r in enumerate(up):
+            if r & bit:
+                up[v] = r | row
     # everything reachable from an element on a cycle, the cycle included
     stuck = 0
     for x in range(n):
@@ -169,16 +163,17 @@ def poset_from_covers(
     if stuck:
         raise CycleError(
             f"cover relation has a cycle through elements {list(bits(stuck))}")
-    return from_up_rows(up, labels)
+    p = from_up_rows(up, labels, check=False)
+    _check_labels(p)
+    return p
 
 
 def validate_poset(p: Poset) -> None:
     """Check the order axioms on up and the labels; raises ValueError on the
     first failure.  Every other row is derived from up, so cannot disagree."""
     n = p.n
-    full = (1 << n) - 1
     for x in range(n):
-        if p.up[x] & ~full:
+        if p.up[x] & ~p.full:
             raise ValueError(f"up[{x}] has bits outside 0..{n - 1}")
         if p.up[x] >> x & 1:
             raise ValueError(f"order is reflexive at {x}")
@@ -187,40 +182,41 @@ def validate_poset(p: Poset) -> None:
                 raise ValueError(f"antisymmetry fails on ({x}, {y})")
             if p.up[y] & ~p.up[x]:
                 raise ValueError(f"transitivity fails at {x} < {y}")
-    if len(p.labels) != n:
-        raise ValueError(f"{len(p.labels)} labels for {n} elements")
-    if len(set(p.labels)) != n:
+    _check_labels(p)
+
+
+def _check_labels(p: Poset) -> None:
+    if len(p.labels) != p.n:
+        raise ValueError(f"{len(p.labels)} labels for {p.n} elements")
+    if len(set(p.labels)) != p.n:
         raise ValueError("labels are not unique")
 
 
-def _check_index(p: Poset, x: int) -> None:
-    if not 0 <= x < p.n:
-        raise IndexError(f"element {x} out of range for n={p.n}")
+def _check_index(p: Poset, *elements: int) -> None:
+    for x in elements:
+        if not 0 <= x < p.n:
+            raise IndexError(f"element {x} out of range for n={p.n}")
 
 
 def leq(p: Poset, x: int, y: int) -> bool:
     """x <= y in the reflexive order."""
-    _check_index(p, x)
-    _check_index(p, y)
+    _check_index(p, x, y)
     return x == y or bool(p.up[x] >> y & 1)
 
 
 def lt(p: Poset, x: int, y: int) -> bool:
-    _check_index(p, x)
-    _check_index(p, y)
+    _check_index(p, x, y)
     return bool(p.up[x] >> y & 1)
 
 
 def incomparable(p: Poset, x: int, y: int) -> bool:
-    _check_index(p, x)
-    _check_index(p, y)
+    _check_index(p, x, y)
     return bool(p.incomp[x] >> y & 1)
 
 
 def covers(p: Poset, x: int, y: int) -> bool:
     """True iff y covers x: x < y with nothing strictly between."""
-    _check_index(p, x)
-    _check_index(p, y)
+    _check_index(p, x, y)
     return bool(p.cover_up[x] >> y & 1)
 
 

@@ -5,9 +5,12 @@ or direct quantifier loops, sharing no code with the package beyond plain
 ints.  Oracles are deliberately slow and obvious; tests compare the package
 against them on inputs small enough for 2**n or n**4 scans.  Where the
 package decides a fact by one formula, the oracle is its second
-formulation: joins as the double perp of the union (brute_join_table),
-Booleanness as the distributive law on every triple
-(brute_distributivity_witness), orthomodularity as the orthomodular law on
+formulation: the order generated by pairs as a path search from each
+element (brute_reachability), where poset_from_covers runs Warshall's
+closure and no order-axiom scan, joins as the double perp of the union
+(brute_join_table), Booleanness as the distributive law on every triple
+(brute_distributivity_witness), where the package also proves it
+equivalent to compatibility, orthomodularity as the orthomodular law on
 every comparable pair of closed sets (brute_orthomodular_witness), where
 the package reads the verdict of its Dacey scan (Dacey's theorem; the
 tests also hold the two oracles to each other), compatibility as a
@@ -69,6 +72,23 @@ def relation_filter_posets(n: int) -> set[tuple[int, ...]]:
 
 def relation_filter_poset_count(n: int) -> int:
     return len(relation_filter_posets(n))
+
+
+def brute_reachability(n: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """reach[v] = everything at the end of a nonempty path of pairs from v,
+    by a depth-first search from each v; v is in reach[v] iff v lies on a
+    cycle."""
+    reach = []
+    for v in range(n):
+        seen, todo = set(), [v]
+        while todo:
+            u = todo.pop()
+            for a, b in pairs:
+                if a == u and b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        reach.append(sum(1 << w for w in seen))
+    return reach
 
 
 def brute_maximal_chains(n: int, up: tuple[int, ...]) -> list[int]:

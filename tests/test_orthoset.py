@@ -13,10 +13,10 @@ from orthoposet.bridges import (incomparability_orthoset,
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
                                 nfree_strict_non_dacey, path_orthoset,
                                 weak_nfree_incompatible)
-from orthoposet.census import _poset_classes, random_orthoset
+from orthoposet.census import _poset_classes, random_orthoset, random_poset
 from orthoposet.errors import (NotOrthoclosedError, OrthoposetError,
                                SizeLimitError)
-from orthoposet.logic import build_logic, is_orthomodular
+from orthoposet.logic import build_logic, is_boolean, is_orthomodular
 from orthoposet.orthoset import (Orthoset, bases, double_perp,
                                  enumerate_orthoclosed, is_compatible,
                                  is_dacey, is_orthoclosed, orthoset_from_pairs,
@@ -48,6 +48,11 @@ def test_path_worked_example():
     assert is_dacey_subset(o, o.full)
     assert is_dacey(o) == (False, (0b0101, 0b0100))
     assert is_compatible(o) == (False, (0, 3))
+    # a mask with bits outside 0..3 is no subset: not closed, and no bases
+    for bad in (1 << 4, -1):
+        assert not is_orthoclosed(o, bad)
+        with pytest.raises(ValueError, match=f"mask {bad:#x} is not a subset"):
+            bases(o, bad)
 
 
 def test_from_pairs_validation():
@@ -121,13 +126,20 @@ def test_not_orthoclosed_raises():
 
 
 def test_size_caps(monkeypatch):
-    # raw orthosets are checked once, on entry, against the poset element cap
+    # raw orthosets and random posets are checked once, on entry, against
+    # the poset element cap; random_poset's lazy pairs check the edge
+    # probability only after poset_from_covers has checked the size
     for make in (lambda n: orthoset_from_pairs(n, []),
-                 lambda n: random_orthoset(n, 0)):
+                 lambda n: random_orthoset(n, 0),
+                 lambda n: random_poset(n, 0),
+                 lambda n: random_poset(n, 0, 2.0)):
         with pytest.raises(SizeLimitError, match="25 elements, cap is 24"):
             make(25)
         with pytest.raises(OrthoposetError, match="non-negative"):
             make(-1)
+    with pytest.raises(SizeLimitError, match="; raise max_elements"):
+        random_poset(25, 0)
+    assert random_poset(25, 0, max_elements=25).n == 25
     big = orthoset_from_pairs(24, [])
     assert enumerate_orthoclosed(big) == [0, big.full]
     assert is_dacey(big) == (True, None)
@@ -266,6 +278,26 @@ def test_dacey_theorem_between_the_oracles():
         assert brute_dacey(o.adj, o.n)[0] == oml
         assert is_orthomodular(build_logic(o))[0] == oml
         kinds.add(oml)
+    assert kinds == {False, True}
+
+
+def test_compatible_iff_boolean():
+    # is_compatible's proof: an orthoset is compatible iff its logic is
+    # Boolean, and an incompatible pair (x, y) maps to the triple
+    # (cl x, cl y, adj[y]), which the brute join shows breaks distributivity
+    def cl(o, u):
+        return brute_perp(o.adj, o.n, brute_perp(o.adj, o.n, u))
+
+    kinds = set()
+    for o in _dacey_orthosets():
+        ok, pair = is_compatible(o)
+        assert is_boolean(build_logic(o))[0] == ok
+        kinds.add(ok)
+        if not ok:
+            x, y = pair
+            a, b, c = cl(o, 1 << x), cl(o, 1 << y), o.adj[y]
+            assert cl(o, c) == c
+            assert a & cl(o, b | c) != cl(o, a & b | a & c)
     assert kinds == {False, True}
 
 

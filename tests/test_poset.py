@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import pickle
+import random
 
 import pytest
 
@@ -14,7 +15,7 @@ from orthoposet.poset import (Poset, covers, dual, from_up_rows, incomparable,
                               poset_from_covers, validate_poset)
 
 from oracles import (brute_covers, brute_maximal_antichains,
-                     brute_maximal_chains, members)
+                     brute_maximal_chains, brute_reachability, members)
 
 
 def test_chain_rows():
@@ -79,6 +80,43 @@ def test_cycle_error_names_the_cycle_and_everything_above_it():
 def test_out_of_range_cover():
     with pytest.raises(IndexError):
         poset_from_covers(2, [(0, 2)])
+
+
+def test_from_covers_against_brute_reachability():
+    # poset_from_covers runs no order-axiom scan on the rows it closes, so
+    # its closure is held here to a path search: equal rows, CycleError
+    # exactly when some element reaches itself, and rows validate_poset
+    # accepts.  Pairs follow a random order, and half the lists get one
+    # pair against it, which closes a cycle on 44 of the 300
+    rng = random.Random(2900)
+    outcomes = []
+    for _ in range(300):
+        n = rng.randrange(10)
+        order = rng.sample(range(n), n)
+        pairs = [(order[i], order[j]) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < 0.3]
+        if n > 1 and rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.insert(rng.randrange(len(pairs) + 1), (order[j], order[i]))
+        reach = brute_reachability(n, pairs)
+        cyclic = any(reach[v] >> v & 1 for v in range(n))
+        outcomes.append(cyclic)
+        if cyclic:
+            with pytest.raises(CycleError):
+                poset_from_covers(n, pairs)
+            continue
+        p = poset_from_covers(n, pairs)
+        assert list(p.up) == reach, pairs
+        validate_poset(p)
+    assert outcomes.count(True) == 44
+
+
+def test_from_covers_checks_labels():
+    with pytest.raises(ValueError, match="^1 labels for 2 elements$"):
+        poset_from_covers(2, [], labels=["a"])
+    with pytest.raises(ValueError, match="^labels are not unique$"):
+        poset_from_covers(2, [], labels=["a", "a"])
+    assert poset_from_covers(2, [], labels=["a", "b"]).labels == ("a", "b")
 
 
 def test_size_cap():
