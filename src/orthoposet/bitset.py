@@ -39,8 +39,11 @@ def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
     adj[v] is the neighborhood mask of v; the graph must be simple (irreflexive,
     symmetric).  Bron-Kerbosch with greedy pivoting; cliques of the induced
     subgraph only, i.e. maximality is relative to sub.  Sorted by mask value.
-    The empty graph on sub=0 has the single maximal clique 0.
+    The empty graph on sub=0 has the single maximal clique 0.  Raises
+    ValueError when sub is no subset of 0..len(adj)-1.
     """
+    if sub & ~((1 << len(adj)) - 1):
+        raise ValueError(f"mask {sub:#x} is not a subset of 0..{len(adj) - 1}")
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:

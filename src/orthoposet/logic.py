@@ -7,13 +7,13 @@ the orthoclosed masks in ascending order, and is decided on those masks:
 meet is &, the orthocomplement is the perp, and each join is taken by De
 Morgan, as the perp of the meet of the perps.  Orthomodularity is decided
 by the family's one Dacey scan (Dacey's theorem), in O(m * n) perps, and
-Booleanness by Birkhoff's test, every join-irreducible element join-prime,
-on the point closures alone, in O(n**2) perps; only a logic that fails is
-scanned for its witness, over its comparable pairs or in one row of m**2
-pairs.  The m x m tables of order, meet, join and orthocomplement are
-built on first read, for the `logic` command and the DOT lattice.  The
-second formulations (the double perp of the union, the distributive law
-on every triple, the orthomodular law on every pair) are the test oracles.
+Booleanness by the orthoset's one compatibility scan, in O(n**2) steps;
+only a logic that fails is scanned for its witness, over its comparable
+pairs or in one row of m**2 pairs.  The m x m tables of order, meet, join
+and orthocomplement are built on first read, for the `logic` command and
+the DOT lattice.  The second formulations (the double perp of the union,
+the distributive law on every triple, the orthomodular law on every pair)
+are the test oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import SizeLimitError
-from .orthoset import (Orthoset, _dacey, double_perp, enumerate_orthoclosed,
+from .orthoset import (Orthoset, _dacey, _incompatible, enumerate_orthoclosed,
                        perp)
 from .poset import cached
 
@@ -152,21 +152,11 @@ def _oml_witness(l: Logic) -> tuple[int, int]:
 def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
     """Decide distributivity; lex-least witness triple.
 
-    The verdict is Birkhoff's: a finite lattice is distributive iff every
-    join-irreducible element is join-prime.  Every orthoclosed set is the
-    join of the point closures cl(x) = perp(adj[x]) of its points, so:
-
-    - the join-irreducibles are point closures, and c = cl(x) is one iff c
-      is not the join of the point closures strictly inside it;
-    - c is join-prime iff c is not below the join of the point closures
-      that do not contain it, since every element not above c is a join of
-      such closures.
-
-    That costs O(n**2) perps on an orthoset of n points.  The lex-least
-    witness (i, j, k), x_i meet (x_j join x_k) unequal to (x_i meet x_j)
-    join (x_i meet x_k), lies in the row i of the least join-irreducible c
-    that is not join-prime, so only that row is scanned, m**2 pairs at
-    most:
+    The verdict is the compatibility scan's, by is_compatible's proof.  The
+    lex-least witness (i, j, k), x_i meet (x_j join x_k) unequal to
+    (x_i meet x_j) join (x_i meet x_k), lies in the row i of the least
+    join-irreducible c that is not join-prime, so only that row is
+    scanned, m**2 pairs at most:
 
     - row i has a witness: c <= a join b with neither a nor b above c, and
       c is join-irreducible, so c meet (a join b) = c while (c meet a) join
@@ -178,14 +168,27 @@ def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
       inside x_i', so c, the least such mask, is at most x_i' as a number
       and i is at most i'.
 
+    By the second bullet c <= cl x when x has an incompatible partner y,
+    one not orthogonal to x with cl y missing cl x, as (cl x, cl y, adj[y])
+    fails (see is_compatible).  And c is such a cl x, so the points are
+    walked by closure to find it.  Every closed set is the join of its
+    points' closures cl v = perp(adj[v]), so c = cl v for some v.  If v
+    has no incompatible partner, each closed set that misses c lies in
+    adj[v] = perp(c).  The join I of the closed sets strictly below c
+    misses v, so some w in perp(I) is not orthogonal to v, and cl w,
+    inside perp(I), meets c in a point z.  As z is not in I, cl z = c and
+    I lies in adj[z] = perp(c): I = 0, so c is an atom, every closed set
+    not above c lies in perp(c), and c is join-prime, a contradiction.
+
     The row skips each x_j and x_k above c, where both sides equal c, so
     no witness is lost.  The scan is asserted to find its witness.
     """
-    elements = l.elements
-    c = _first_non_prime(l.orthoset)
-    if c is None:
+    o = l.orthoset
+    if o._compatible[0]:
         return True, None
-    perps = l._perp
+    hulls = o._hulls
+    v, _ = next(_incompatible(o, sorted(range(o.n), key=hulls.__getitem__)))
+    c, elements, perps = hulls[v], l.elements, l._perp
     row = [(j, perps[x], perps[c & x]) for j, x in enumerate(elements)
            if c & ~x]
     for j, pj, qj in row:
@@ -193,19 +196,3 @@ def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
             if c & perps[pj & pk] != perps[qj & qk]:
                 return False, (bisect_left(elements, c), j, k)
     raise AssertionError("no witness for a non-distributive logic")
-
-
-def _first_non_prime(o: Orthoset) -> int | None:
-    # the least-mask join-irreducible that is not join-prime, or None when
-    # every join-irreducible is join-prime; see is_boolean
-    closures = sorted({perp(o, row) for row in o.adj})
-    for c in closures:
-        inside = away = 0
-        for d in closures:
-            if d != c and not d & ~c:
-                inside |= d
-            if c & ~d:
-                away |= d
-        if double_perp(o, inside) != c and not c & ~double_perp(o, away):
-            return c
-    return None

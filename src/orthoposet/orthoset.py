@@ -9,7 +9,7 @@ decide which structural laws that logic satisfies.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .bitset import bits, maximal_cliques
@@ -23,8 +23,8 @@ DEFAULT_MAX_FAMILY = 1 << 20
 class Orthoset:
     """Immutable orthoset; adj[x] is the mask of elements orthogonal to x.
 
-    Only adj is stored, compared and hashed; n and the perp table are
-    derived from it on first use.
+    Only adj is stored, compared and hashed; n, the perp table, the point
+    closures and the compatibility scan are derived from it on first use.
     """
 
     adj: tuple[int, ...]
@@ -41,6 +41,16 @@ class Orthoset:
     def table(self) -> tuple[list[int], list[int]]:
         """perp_table(adj, n): every perp of this orthoset by two lookups."""
         return perp_table(self.adj, self.n)
+
+    @cached
+    def _hulls(self) -> tuple[int, ...]:
+        # the closure of {x} is the perp of adj[x]
+        return tuple([perp(self, r) for r in self.adj])
+
+    @cached
+    def _compatible(self) -> tuple[bool, tuple[int, int] | None]:
+        pair = next(_incompatible(self, range(self.n)), None)
+        return pair is None, pair
 
 
 def orthoset_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Orthoset:
@@ -140,8 +150,6 @@ def bases(o: Orthoset, x: int) -> list[int]:
     The empty set has the single basis at the empty mask.  Raises
     ValueError when x is no subset of 0..n-1.
     """
-    if x & ~o.full:
-        raise ValueError(f"mask {x:#x} is not a subset of 0..{o.n - 1}")
     return maximal_cliques(o.adj, x)
 
 
@@ -203,8 +211,8 @@ def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     """Decide compatibility; witness is the lex-least failing pair.
 
     A pair of non-orthogonal elements x, y is compatible when the closures
-    of {x} and {y} intersect, which costs O(n**2) once the closures are
-    taken.  o is compatible iff its logic is Boolean.  In a Boolean logic,
+    of {x} and {y} intersect; the O(n**2) scan runs once and is cached on
+    o.  o is compatible iff its logic is Boolean.  In a Boolean logic,
     cl(x) meet cl(y) = 0 puts cl(y) below cl(x)' = adj[x], so x and y are
     orthogonal.  If o is compatible, disjoint closed A and B are
     orthogonal, as non-orthogonal a in A and b in B would share a point of
@@ -216,11 +224,12 @@ def is_compatible(o: Orthoset) -> tuple[bool, tuple[int, int] | None]:
     cl x meet (cl y join adj[y]) is cl x, which holds x, but cl x meets
     cl y in 0 and adj[y] outside x.
     """
-    adj, n = o.adj, o.n
-    # closure of {x} is the perp of adj[x]
-    hulls = [perp(o, r) for r in adj]
-    for x in range(n):
-        for y in range(x + 1, n):
-            if not adj[x] >> y & 1 and not hulls[x] & hulls[y]:
-                return False, (x, y)
-    return True, None
+    return o._compatible
+
+
+def _incompatible(o: Orthoset, xs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    # each pair (x, y), x from xs in turn and y ascending, not orthogonal and
+    # with disjoint closures; from xs = 0..n-1 the first is the lex-least
+    adj, full, hulls = o.adj, o.full, o._hulls
+    return ((x, y) for x in xs for y in bits(full & ~adj[x])
+            if not hulls[x] & hulls[y])

@@ -81,9 +81,9 @@ class TheoremReport:
 
 def verify_theorems(p: Poset,
                     max_lattice: int = DEFAULT_MAX_LATTICE) -> TheoremReport:
-    """The one decision pass: all seven predicates of one poset, the
-    CLAIMS it breaks and the witness of every failing predicate.  One
-    Dacey scan of the logic's family decides Dacey and orthomodularity."""
+    """The one decision pass: verdicts, broken CLAIMS and witnesses of a
+    poset.  One Dacey scan decides Dacey and orthomodularity, and one
+    compatibility scan decides compatibility and Booleanness."""
     found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
                                       find_weak_n(p)) if w is not None}
     o = incomparability_orthoset(p)

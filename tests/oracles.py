@@ -9,15 +9,16 @@ formulation: the order generated by pairs as a path search from each
 element (brute_reachability), where poset_from_covers runs Warshall's
 closure and no order-axiom scan, joins as the double perp of the union
 (brute_join_table), Booleanness as the distributive law on every triple
-(brute_distributivity_witness), where the package also proves it
-equivalent to compatibility, orthomodularity as the orthomodular law on
-every comparable pair of closed sets (brute_orthomodular_witness), where
-the package reads the verdict of its Dacey scan (Dacey's theorem; the
-tests also hold the two oracles to each other), compatibility as a
-common bound of the two perps (brute_compatible_pair), Dacey's criterion
-as a check of every basis of every closed set (brute_dacey), where the
-package extends clique closures instead, and the chain-antichain property
-as every filtered maximal chain meeting every filtered maximal antichain
+(brute_distributivity_witness), where the package reads the verdict of
+its compatibility scan and proves the two equivalent, orthomodularity as
+the orthomodular law on every comparable pair of closed sets
+(brute_orthomodular_witness), where the package reads the verdict of its
+Dacey scan (Dacey's theorem; the tests also hold the two oracles to each
+other), compatibility as a common bound of the two perps
+(brute_compatible_pair), Dacey's criterion as a check of every basis of
+every closed set (brute_dacey), where the package extends clique
+closures instead, and the chain-antichain property as every filtered
+maximal chain meeting every filtered maximal antichain
 (brute_chain_antichain), where the package walks cover paths around each
 maximal antichain.
 The last two sections are the exceptions.  The three basis criteria of the

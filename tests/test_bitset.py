@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from orthoposet.bitset import (bits, format_subset, mask_of, maximal_cliques,
                                subset_labels)
 
@@ -33,6 +35,11 @@ def test_maximal_cliques_path():
     # induced on {0, 2}: no edges, two singleton cliques
     assert maximal_cliques(adj, 0b0101) == [0b0001, 0b0100]
     assert maximal_cliques(adj, 0) == [0]
+    # a mask with a bit outside 0..3, or a negative one, is no subset
+    for sub, shown in ((1 << 4, "0x10"), (-1, "-0x1")):
+        with pytest.raises(ValueError,
+                           match=rf"^mask {shown} is not a subset of 0..3$"):
+            maximal_cliques(adj, sub)
 
 
 def test_maximal_cliques_against_filter():

@@ -9,9 +9,10 @@ from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
 from orthoposet.census import (_enumerate_rows, _poset_classes,
                                random_orthoset)
 from orthoposet.errors import SizeLimitError
-from orthoposet import logic as logic_module
+from orthoposet import logic as logic_module, orthoset as orthoset_module
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
-from orthoposet.orthoset import Orthoset
+from orthoposet.orthoset import Orthoset, is_compatible
+from orthoposet.report import verify_theorems
 
 from oracles import (brute_distributivity_witness, brute_join_table,
                      brute_orthomodular_witness, incomparability_adj,
@@ -164,7 +165,8 @@ def test_boolean_against_triple_oracle_all_classes_to_six():
 
 def test_boolean_and_join_against_oracles_random_orthosets():
     # random orthosets reach ortholattices that are not orthomodular, so
-    # Birkhoff's test is exercised beyond the logics of posets
+    # the walk to the row of the witness is exercised beyond the logics of
+    # posets
     kinds = set()
     for seed in range(80):
         logic, witness = _assert_logic_matches_oracles(
@@ -182,15 +184,48 @@ def test_boolean_against_triple_oracle_catalog():
 
 def test_boolean_rejects_non_distributive_verdict_without_witness(
         monkeypatch):
-    # Birkhoff's helper patched to name an atom of the four-element Boolean
-    # algebra: the atom is join-prime, so its row has no witness triple
-    logic = build_logic(incomparability_orthoset(antichain(2)))
-    assert logic.elements == (0b00, 0b01, 0b10, 0b11)
-    assert is_boolean(logic) == (True, None)
-    monkeypatch.setattr(logic_module, "_first_non_prime", lambda o: 0b01)
+    # the incompatibility test patched to pair the two points of a
+    # two-element antichain's complete orthoset: the verdict is then not
+    # Boolean, but the row is that of cl(0), an atom of the four-element
+    # Boolean algebra, which is join-prime, so the row has no witness triple
+    o = incomparability_orthoset(antichain(2))
+    assert build_logic(o).elements == (0b00, 0b01, 0b10, 0b11)
+    assert is_boolean(build_logic(o)) == (True, None)
+
+    def paired(o, xs):
+        return iter([(0, 1)])
+
+    monkeypatch.setattr(orthoset_module, "_incompatible", paired)
+    monkeypatch.setattr(logic_module, "_incompatible", paired)
+    logic = build_logic(Orthoset(o.adj))
     with pytest.raises(AssertionError,
                        match=r"no witness for a non-distributive logic"):
         is_boolean(logic)
+
+
+def test_one_compatibility_scan_decides_compatible_and_boolean(monkeypatch):
+    # one verify_theorems makes one compatibility scan, and is_boolean
+    # walks the point closures only on an orthoset that the scan finds
+    # incompatible, to name its row
+    scans, walks = [], []
+    scan = orthoset_module._incompatible
+    monkeypatch.setattr(orthoset_module, "_incompatible",
+                        lambda o, xs: scans.append(o.n) or scan(o, xs))
+    monkeypatch.setattr(logic_module, "_incompatible",
+                        lambda o, xs: walks.append(o.n) or scan(o, xs))
+    for p in (antichain(8), chain(4), weak_nfree_incompatible(), n_poset()):
+        scans.clear()
+        verify_theorems(p)
+        assert scans == [p.n]
+    assert walks == [5, 4]
+    walks.clear()
+    for p in (antichain(8), chain(4), nfree_strict_non_dacey()):
+        scans.clear()
+        logic = build_logic(incomparability_orthoset(p))
+        # the second call, and is_compatible, read the cached verdict
+        assert is_boolean(logic) == is_boolean(logic) == (True, None)
+        assert is_compatible(logic.orthoset) == (True, None)
+        assert scans == [p.n] and walks == []
 
 
 def test_orthomodular_scans_pairs_only_for_the_witness(monkeypatch):

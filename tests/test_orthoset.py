@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import pickle
 import random
 
@@ -24,8 +25,9 @@ from orthoposet.orthoset import (Orthoset, bases, double_perp,
 from orthoposet.poset import poset_from_covers
 
 from oracles import (brute_closed_sets, brute_compatible_pair, brute_dacey,
-                     brute_maximal_cliques, brute_orthomodular_witness,
-                     brute_perp, dacey_subset_checks, incomparability_adj,
+                     brute_distributivity_witness, brute_maximal_cliques,
+                     brute_orthomodular_witness, brute_perp,
+                     dacey_subset_checks, incomparability_adj,
                      is_dacey_subset, mutual_perp_condition,
                      orthocomplement_pair_check)
 
@@ -281,17 +283,32 @@ def test_dacey_theorem_between_the_oracles():
     assert kinds == {False, True}
 
 
+def _graphs_to_five():
+    """Every labeled graph on at most five points, as an orthoset."""
+    out = []
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        out += [orthoset_from_pairs(n, itertools.compress(pairs, keep))
+                for keep in itertools.product((0, 1), repeat=len(pairs))]
+    return out
+
+
 def test_compatible_iff_boolean():
     # is_compatible's proof: an orthoset is compatible iff its logic is
     # Boolean, and an incompatible pair (x, y) maps to the triple
-    # (cl x, cl y, adj[y]), which the brute join shows breaks distributivity
+    # (cl x, cl y, adj[y]), which the brute join shows breaks
+    # distributivity.  is_boolean's proof: its witness lies in the row of
+    # the least closure of a point with an incompatible partner, which the
+    # brute triple scan confirms on every graph to five points.
     def cl(o, u):
         return brute_perp(o.adj, o.n, brute_perp(o.adj, o.n, u))
 
     kinds = set()
-    for o in _dacey_orthosets():
+    for o in _dacey_orthosets() + _graphs_to_five():
         ok, pair = is_compatible(o)
-        assert is_boolean(build_logic(o))[0] == ok
+        witness = brute_distributivity_witness(o.adj, o.n)
+        assert is_boolean(build_logic(o)) == (witness is None, witness)
+        assert ok == (witness is None)
         kinds.add(ok)
         if not ok:
             x, y = pair
