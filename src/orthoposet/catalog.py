@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 from .orthoset import Orthoset, orthoset_from_pairs
-from .poset import Poset, poset_from_covers
+from .poset import DEFAULT_MAX_ELEMENTS, Poset, poset_from_covers
 
 
-def chain(k: int) -> Poset:
+def chain(k: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Poset:
     """Total order 0 < 1 < ... < k-1."""
-    return poset_from_covers(k, [(i, i + 1) for i in range(k - 1)])
+    return poset_from_covers(k, [(i, i + 1) for i in range(k - 1)],
+                             max_elements=max_elements)
 
 
-def antichain(k: int) -> Poset:
+def antichain(k: int, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Poset:
     """k pairwise incomparable elements."""
-    return poset_from_covers(k, [])
+    return poset_from_covers(k, [], max_elements=max_elements)
 
 
 def n_poset() -> Poset:

@@ -1,38 +1,27 @@
 """Exhaustive and randomized verification of the structure theorems.
 
-For every poset up to a size bound, one per isomorphism class, the census
-tallies the verdicts and violations of report.verify_theorems, the one
-decision pass; the random generators and the search live here too.
+For every poset up to a size bound, the census tallies the verdicts and
+violations of report.verify_theorems, the one decision pass; the random
+generators and the search live here too.  Every predicate is invariant
+under relabeling, so both decide one Poset per isomorphism class, on the
+rows of the canonical form _canonical, built once by the class walk
+_poset_classes, whose docstring proves that it reaches every class.  A
+class stands for n!/|Aut| labeled posets (orbit-stabilizer) and is
+tallied with that weight; a class that violates an equivalence is
+expanded into its distinct labelings, as the labeled census would report
+them.  Which representative the canonical form picks is internal: no
+summary or search result depends on it.
 
-Every predicate is invariant under relabeling, so the census and the
-search decide one canonical representative per isomorphism class.  The
-classes on n elements are grown from those on n-1 by adding one new maximal
-element above each down-set at least as large as the below-set of every
-other maximal element, and deduplicated by a canonical form: the
-lex-least relabeled up rows over the relabelings that respect an
-iso-invariant colouring of the twin blocks.  The relabelings reaching that
-minimum, times the orders inside the blocks, number |Aut|, so a class
-stands for n!/|Aut| labeled posets (orbit-stabilizer) and the census
-tallies it with that weight.  Which representative the canonical form
-picks is internal: summaries and search results do not depend on it.
-Each class is one Poset, built once by the walk; the walk, its keep
-filter and the verdict all read that object's cached rows.  A class that
-violates an equivalence is expanded into its distinct labelings, each
-reported as the labeled census would report it.  Workers only decide
-classes, one verify_theorems call each, and return the reports in class
-order; the weights, counts and violation strings are computed in the
-parent, so any worker count gives identical summaries.  The census walks
-every class; the search for N-free counterexamples extends only the
-N-free classes, which reaches them all, since deleting a maximal element
-keeps every cover among the rest.  Its extensions are tested only for an
-N through the new element, as the class extended is N-free already, so
-the classes it yields are tested for strict Dacey alone, with no N scan.
-
-The labeled enumeration, one-element extension in a fixed order, is the
-public enumerate_labeled_posets: element k joins the poset on 0..k-1 above
-one of its down-sets and below one of its up-sets.  Both generators list
-these sets by one helper, _closed_sets.  The search returns, among the
-labelings of its hits, the one this enumeration reaches first.
+Every verdict is invariant under order duality too, so the census decides
+one class per dual pair.  Let P^op be the dual of P.  (1) P^op has the
+incomparability rows of P, so the same orthoset, and the same dacey,
+compatible, oml, boolean and lattice_size.  (2) (a, b, c, d) -> (d, c, b, a)
+maps each N, covering N and weak N of P to one of the same shape in P^op:
+a < c, c covering b and b < d become d < b, b covering c and c < a, and
+the incomparable pairs stay.  (3) P^op has the maximal chains and maximal
+antichains of P.  So the seven verdicts and covering-N-freeness agree,
+each claim of report.CLAIMS is broken on both or on neither, and
+|Aut(P^op)| = |Aut(P)|, as P and P^op have the same automorphisms.
 """
 
 from __future__ import annotations
@@ -193,11 +182,16 @@ def _canonical(up: Sequence[int],
         sig = [(rank[s], *map(int.bit_count, map(u.__and__, classes)),
                 *map(int.bit_count, map(d.__and__, classes)))
                for s, (u, d) in zip(sig, twins)]
-    cells: list[list[list[int]]] = [[] for _ in rank]
     swaps = 1
+    for b in blocks:
+        swaps *= factorial(len(b))
+    if len(rank) == len(blocks):
+        # a discrete colouring admits one order: the blocks by colour
+        return _relabel(up, [x for _, b in sorted(zip(sig, blocks))
+                             for x in b]), swaps
+    cells: list[list[list[int]]] = [[] for _ in rank]
     for s, b in zip(sig, blocks):
         cells[rank[s]].append(b)
-        swaps *= factorial(len(b))
     best, reached = None, 0
     for parts in product(*map(permutations, cells)):
         rows = _relabel(up, [x for part in parts for b in part for x in b])
@@ -355,19 +349,32 @@ def census_run(max_n: int, workers: int = 1,
                cap: int = DEFAULT_CENSUS_CAP) -> list[CensusSummary]:
     """Census for every size 1..max_n; identical output for any worker count.
 
-    The classes are generated serially and decided in class order, by one
-    pool when workers exceeds 1; pool.map keeps that order.  The parent
-    then tallies each size: a class counts n!/|Aut| times, and a violating
-    class is expanded into its labelings, with violations sorted.  The pool
-    never has more processes than classes or CPUs.  Raises OrthoposetError
-    when max_n is negative or workers is below 1, and SizeLimitError when
-    max_n exceeds cap.
+    The classes are generated serially.  Of each dual pair, the class with
+    the smaller canonical rows is decided, in class order, by one pool when
+    workers exceeds 1 (pool.map keeps that order); its partner takes its
+    report, which the module docstring proves is the partner's own.  The
+    weights, counts and violation strings are computed in the parent: a
+    class counts n!/|Aut| times, and a violating class is expanded into its
+    own labelings, with violations sorted.  The pool never has more
+    processes than decided classes or CPUs.  Raises OrthoposetError when
+    max_n is negative or workers is below 1, and SizeLimitError when max_n
+    exceeds cap.
     """
     _check_max_n("census", max_n, cap)
     if workers < 1:
         raise OrthoposetError(f"worker count must be at least 1, got {workers}")
     levels = list(_poset_classes(max_n))
-    posets = [p for _, classes in levels for p, _ in classes]
+    every = [p for _, classes in levels for p, _ in classes]
+    index = {p.up: i for i, p in enumerate(every)}
+    # first[i]: the class decided for class i, the lesser of i and its
+    # dual's index; the classes of a size are sorted by rows, so the dual
+    # of a class not yet paired is that class or a later one
+    first = [-1] * len(every)
+    for i, p in enumerate(every):
+        if first[i] < 0:
+            first[i] = first[index[_canonical(p.down, p.up)[0]]] = i
+    chosen = [i for i, j in enumerate(first) if i == j]
+    posets = [every[i] for i in chosen]
     if workers == 1 or len(posets) <= 1:
         reports = list(map(verify_theorems, posets))
     else:
@@ -376,12 +383,13 @@ def census_run(max_n: int, workers: int = 1,
                   initializer=signal.signal,
                   initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
             reports = pool.map(verify_theorems, posets)
-    it = iter(reports)
+    report_of = dict(zip(chosen, reports))
+    it = iter(first)
     out = []
     for n, classes in levels:
         total, counts, violations = 0, [0] * len(_PREDICATES), []
-        # zip stops at the end of classes without drawing a report
-        for (p, aut), rep in zip(classes, it):
+        for p, aut in classes:
+            rep = report_of[next(it)]
             weight = factorial(n) // aut
             total += weight
             for i, name in enumerate(_PREDICATES):

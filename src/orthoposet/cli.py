@@ -80,11 +80,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 # generate's kinds: whether --n is required, and the poset from the arguments
 _KINDS = {
-    "chain": (True, lambda a: chain(a.n)),
-    "antichain": (True, lambda a: antichain(a.n)),
+    "chain": (True, lambda a: chain(a.n, a.max_elements)),
+    "antichain": (True, lambda a: antichain(a.n, a.max_elements)),
     "n": (False, lambda a: n_poset()),
     "diamond22": (False, lambda a: diamond22()),
-    "random": (True, lambda a: random_poset(a.n, a.seed, a.edge_prob)),
+    "random": (True, lambda a: random_poset(a.n, a.seed, a.edge_prob,
+                                            a.max_elements)),
 }
 
 
@@ -155,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--edge-prob", type=float, default=0.5)
+    add_limits(sp)
     sp.set_defaults(func=_cmd_generate)
 
     return ap

@@ -233,22 +233,27 @@ def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
     expect = census_run(5)
     monkeypatch.setattr(census, "Pool", SerialPool)
     assert census_run(5, workers=1000) == expect
-    # one pool for the whole run, no larger than the 1 + 2 + 5 + 16 + 63 = 87
-    # classes it decides, nor than the CPU count
-    assert sizes == [min(87, os.cpu_count() or 1)]
+    # one pool for the whole run, no larger than the 1 + 2 + 4 + 12 + 39 = 58
+    # classes it decides, one per dual pair, nor than the CPU count
+    assert sizes == [min(58, os.cpu_count() or 1)]
 
 
 def test_census_decides_each_class_once(monkeypatch):
-    # one verify_theorems call per class, 1 + 2 + 5 + 16 + 63 = 87 to n=5,
-    # and one expansion into labelings for the one violating class
+    # one verify_theorems call per dual pair of classes, 1 + 2 + 4 + 12 + 39
+    # = 58 to n=5 of the 87 classes, and one expansion into labelings for
+    # the one violating class, which is its own dual
     decided, expanded = [], []
     verify, relabelings = census.verify_theorems, census._relabelings
     monkeypatch.setattr(census, "verify_theorems",
-                        lambda p: decided.append(p.up) or verify(p))
+                        lambda p: decided.append(p) or verify(p))
     monkeypatch.setattr(census, "_relabelings",
                         lambda p: expanded.append(p) or relabelings(p))
     census_run(5)
-    assert len(decided) == len(set(decided)) == 87
+    assert len(decided) == len({p.up for p in decided}) == 58
+    assert [sum(p.n == n for p in decided) for n in range(1, 6)] == \
+        [1, 2, 4, 12, 39]
+    # of each pair, the class with the smaller canonical rows
+    assert all(p.up <= census._canonical(p.down, p.up)[0] for p in decided)
     assert len(expanded) == 1
     w = weak_nfree_incompatible()
     assert census._canonical(expanded[0].up, expanded[0].down) == \

@@ -15,8 +15,9 @@ from orthoposet.census import (_enumerate_rows, _enumeration_key,
                                _poset_classes, census_run,
                                search_counterexample, verify_theorems)
 from orthoposet.catalog import antichain
-from orthoposet.npatterns import is_n_free
-from orthoposet.poset import _transpose, from_up_rows, poset_from_covers
+from orthoposet.npatterns import find_covering_n, is_n_free
+from orthoposet.poset import (_transpose, dual, from_up_rows,
+                              poset_from_covers)
 
 from oracles import brute_hourglass, brute_n_quads, relabelings
 
@@ -201,6 +202,23 @@ def test_compatible_is_weak_n_free_and_hourglass_free(classes7):
             count += rep.weak_n_free and not rep.compatible
         incompatible.append(count)
     assert incompatible == [0, 0, 0, 0, 1, 8]
+
+
+def test_dual_classes_get_the_same_report(classes7):
+    # the census decides one class per dual pair: on every class to n=7,
+    # the class and its dual get the same verdicts, violations and logic
+    # size, are covering-N-free together and have as many automorphisms
+    names = census._PREDICATES + ("violations", "lattice_size")
+    for n, classes in classes7:
+        for p, aut in classes:
+            q = dual(p)
+            rep, dual_rep = verify_theorems(p), verify_theorems(q)
+            assert [getattr(rep, k) for k in names] == \
+                [getattr(dual_rep, k) for k in names], f"n={n} up={p.up}"
+            assert (find_covering_n(p) is None) == \
+                (find_covering_n(q) is None), f"n={n} up={p.up}"
+            assert census._canonical(q.up, q.down)[1] == aut, \
+                f"n={n} up={p.up}"
 
 
 def test_enumeration_order_is_the_search_key():

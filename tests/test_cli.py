@@ -214,6 +214,27 @@ def test_generate_rejects_edge_prob_outside_unit_interval(edge_prob, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("kind", ["chain", "antichain", "random"])
+def test_generate_max_elements_lifts_the_cap(kind, capsys):
+    # without the flag, past the cap: exit 1 and the one-line error that
+    # names the option; with it, the poset is written
+    assert main(["generate", "--kind", kind, "--n", "25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: poset has 25 elements, cap is 24; "
+        "raise max_elements to allow this\n")
+    assert main(["generate", "--kind", kind, "--n", "25",
+                 "--max-elements", "25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [x for x in lines if x.startswith("element ")] == \
+        [f"element {i}" for i in range(25)]
+    # a lower cap is honoured too
+    assert main(["generate", "--kind", kind, "--n", "5",
+                 "--max-elements", "4"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: poset has 5 elements, cap is 4")
+
+
 def test_generate_random_is_seeded(capsys):
     assert main(["generate", "--kind", "random", "--n", "6",
                  "--seed", "9"]) == 0
