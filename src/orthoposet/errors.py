@@ -29,7 +29,7 @@ class CycleError(OrthoposetError):
 
 
 class SizeLimitError(OrthoposetError):
-    """An input exceeds a size cap; pass a larger cap explicitly to proceed."""
+    """An input exceeds a size cap; no argument lifts the family ceiling."""
 
 
 class NotOrthoclosedError(OrthoposetError):

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import SizeLimitError
 from .orthoset import (Orthoset, _dacey, _incompatible, enumerate_orthoclosed,
                        perp)
 from .poset import cached
@@ -103,14 +102,11 @@ def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
 
     The family is the closure of the full set under meets with point
     perps, which is exactly the set of orthoclosed sets, so it is taken as
-    built; the tests hold it to the brute filter.  Raises SizeLimitError
-    when the family is larger than max_lattice.
+    built; the tests hold it to the brute filter.  The build stops, raising
+    SizeLimitError, as soon as the family passes max_lattice (or the
+    family ceiling, if that is lower).
     """
-    elements = enumerate_orthoclosed(o)
-    m = len(elements)
-    if m > max_lattice:
-        raise SizeLimitError(f"logic has {m} elements, cap is {max_lattice}")
-    return Logic(o, tuple(elements))
+    return Logic(o, tuple(enumerate_orthoclosed(o, max_lattice)))
 
 
 def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:

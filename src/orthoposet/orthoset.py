@@ -123,22 +123,25 @@ def is_orthoclosed(o: Orthoset, x: int) -> bool:
     return not x & ~o.full and double_perp(o, x) == x
 
 
-def enumerate_orthoclosed(o: Orthoset) -> list[int]:
+def enumerate_orthoclosed(o: Orthoset, cap: int | None = None) -> list[int]:
     """All orthoclosed subsets, sorted ascending by mask value.
 
     The orthoclosed sets are the perps, that is the intersections of point
     rows, so the family is built by doubling, as perp_table is: after row i
-    it holds every intersection of rows 0..i.  It only grows, so the row
-    that takes it past DEFAULT_MAX_FAMILY raises SizeLimitError, before its
-    new sets are merged: at most twice the cap's masks are ever held.
+    it holds every intersection of rows 0..i.  It only grows, so the step
+    that takes it past the cap raises SizeLimitError before its new sets
+    are merged, and at most 2 * cap masks are ever held.  The cap is
+    min(cap, DEFAULT_MAX_FAMILY); None means DEFAULT_MAX_FAMILY, read at
+    call time, so no argument lifts that ceiling.
     """
+    cap = DEFAULT_MAX_FAMILY if cap is None else min(cap, DEFAULT_MAX_FAMILY)
     seen = {o.full}
-    for row in o.adj:
+    # no row: one step by full adds nothing but checks the start {full}
+    for row in o.adj or (o.full,):
         new = {t & row for t in seen}
         new -= seen
-        if len(seen) + len(new) > DEFAULT_MAX_FAMILY:
-            raise SizeLimitError(
-                f"orthoclosed family exceeds cap {DEFAULT_MAX_FAMILY}")
+        if len(seen) + len(new) > cap:
+            raise SizeLimitError(f"orthoclosed family exceeds cap {cap}")
         seen |= new
     return sorted(seen)
 

@@ -87,7 +87,7 @@ def verify_theorems(p: Poset,
     found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
                                       find_weak_n(p)) if w is not None}
     o = incomparability_orthoset(p)
-    # the lattice cap is checked before the Dacey scan walks the family
+    # the lattice cap stops the family build, before any scan walks it
     logic = build_logic(o, max_lattice)
     family = logic.elements
     found["dacey"] = logic._dacey[1]

@@ -141,7 +141,7 @@ def test_lattice_cap_is_checked_before_the_dacey_scan(monkeypatch):
     monkeypatch.setattr(logic_module, "_dacey",
                         lambda *args: calls.append(args) or dacey(*args))
     with pytest.raises(SizeLimitError,
-                       match=r"^logic has 6 elements, cap is 4$"):
+                       match=r"^orthoclosed family exceeds cap 4$"):
         verify_theorems(diamond22(), max_lattice=4)
     assert calls == []
     # one scan decides Dacey and orthomodularity: is_orthomodular on the

@@ -74,12 +74,13 @@ def test_analyze_size_cap(tmp_path, capsys):
 
 def test_analyze_family_cap(tmp_path, capsys):
     # a wide antichain's incomparability orthoset closes every subset;
-    # the family cap refuses it before memory does
+    # the lattice cap stops the family build at 4096 sets and refuses it
     path = tmp_path / "wide.poset"
     path.write_text("".join(f"element e{i}\n" for i in range(25)),
                     encoding="utf-8")
     assert main(["analyze", str(path), "--max-elements", "25"]) == 1
-    assert "family exceeds cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: orthoclosed family exceeds cap 4096\n"
 
 
 def test_analyze_non_utf8_file(tmp_path, capsys):

@@ -124,15 +124,28 @@ def test_boolean_implies_orthomodular():
             assert is_orthomodular(logic)[0]
 
 
-def test_lattice_size_cap():
+def test_lattice_size_cap(monkeypatch):
     o = incomparability_orthoset(diamond22())
     with pytest.raises(SizeLimitError):
         build_logic(o, max_lattice=4)
     # the cap admits a logic of exactly cap elements and no more
     assert build_logic(o, max_lattice=6).m == 6
     with pytest.raises(SizeLimitError,
-                       match=r"^logic has 6 elements, cap is 5$"):
+                       match=r"^orthoclosed family exceeds cap 5$"):
         build_logic(o, max_lattice=5)
+    # the start {full} counts too: the empty orthoset's one-element logic
+    with pytest.raises(SizeLimitError):
+        build_logic(Orthoset(()), max_lattice=0)
+    assert build_logic(Orthoset(()), max_lattice=1).m == 1
+    # the lattice cap stops the build, long before the 2^20 family cap
+    with pytest.raises(SizeLimitError,
+                       match=r"^orthoclosed family exceeds cap 4096$"):
+        build_logic(incomparability_orthoset(antichain(21)))
+    # no max_lattice lifts the family ceiling
+    monkeypatch.setattr(orthoset_module, "DEFAULT_MAX_FAMILY", 7)
+    with pytest.raises(SizeLimitError,
+                       match=r"^orthoclosed family exceeds cap 7$"):
+        build_logic(incomparability_orthoset(antichain(3)), max_lattice=100)
 
 
 def _assert_logic_matches_oracles(o: Orthoset):
