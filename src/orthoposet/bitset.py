@@ -51,8 +51,7 @@ def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
             out.append(r)
             return
         # pivot: vertex of p|x with most neighbors in p, shrinking the branch set
-        pivot = -1
-        best = -1
+        pivot = best = -1
         rest = p | x
         while rest:
             low = rest & -rest
@@ -60,8 +59,7 @@ def maximal_cliques(adj: Sequence[int], sub: int) -> list[int]:
             u = low.bit_length() - 1
             deg = (adj[u] & p).bit_count()
             if deg > best:
-                best = deg
-                pivot = u
+                best, pivot = deg, u
         rest = p & ~adj[pivot]
         while rest:
             vb = rest & -rest

@@ -46,12 +46,10 @@ def parse_poset_file(text: str,
             if len(tokens) != 3:
                 raise PosetSyntaxError(
                     f"cover takes two names, got {len(tokens) - 1}", lineno)
-            pair = []
             for name in tokens[1:]:
                 if name not in index:
                     raise UnknownElementError(name, lineno)
-                pair.append(index[name])
-            covers.append((pair[0], pair[1]))
+            covers.append((index[tokens[1]], index[tokens[2]]))
         else:
             raise PosetSyntaxError(
                 f"unknown directive {tokens[0]!r}", lineno)
@@ -70,10 +68,9 @@ def serialize_poset_file(p: Poset) -> str:
             raise ValueError(
                 f"label {name!r} cannot be written: names must be non-empty, "
                 f"without whitespace or '#'")
-    out = [f"element {p.labels[i]}" for i in range(p.n)]
-    for x in range(p.n):
-        for y in bits(p.cover_up[x]):
-            out.append(f"cover {p.labels[x]} {p.labels[y]}")
+    out = [f"element {name}" for name in p.labels]
+    out += [f"cover {p.labels[x]} {p.labels[y]}"
+            for x in range(p.n) for y in bits(p.cover_up[x])]
     return "\n".join(out) + "\n" if out else ""
 
 
@@ -83,13 +80,11 @@ def _dot_quote(s: str) -> str:
 
 def emit_dot_hasse(p: Poset) -> str:
     """Hasse diagram as DOT, edges pointing up, deterministic line order."""
+    names = list(map(_dot_quote, p.labels))
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i in range(p.n):
-        lines.append(f"  {_dot_quote(p.labels[i])};")
-    for x in range(p.n):
-        for y in bits(p.cover_up[x]):
-            lines.append(
-                f"  {_dot_quote(p.labels[x])} -> {_dot_quote(p.labels[y])};")
+    lines += [f"  {name};" for name in names]
+    lines += [f"  {names[x]} -> {names[y]};"
+              for x in range(p.n) for y in bits(p.cover_up[x])]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -100,11 +95,9 @@ def emit_dot_lattice(l: Logic, labels: tuple[str, ...]) -> str:
         return _dot_quote(format_subset(l.elements[i], labels))
 
     lines = ["digraph logic {", "  rankdir=BT;"]
-    for i in range(l.m):
-        lines.append(f"  {node(i)};")
+    lines += [f"  {node(i)};" for i in range(l.m)]
     cov = _covers_from_up([l.leq[i] & ~(1 << i) for i in range(l.m)], l.m)
-    for i in range(l.m):
-        for j in bits(cov[i]):
-            lines.append(f"  {node(i)} -> {node(j)};")
+    lines += [f"  {node(i)} -> {node(j)};"
+              for i in range(l.m) for j in bits(cov[i])]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -34,8 +34,7 @@ def _find_quad(n: int, above_a: Sequence[int], above_b: Sequence[int],
     incomp) a covering N, (up, up, all-ones) a weak N.
     """
     for a in range(n):
-        ca = above_a[a]
-        da = beside_a[a]
+        ca, da = above_a[a], beside_a[a]
         rest = incomp[a]
         while rest:
             low = rest & -rest

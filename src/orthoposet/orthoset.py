@@ -138,8 +138,7 @@ def enumerate_orthoclosed(o: Orthoset, cap: int | None = None) -> list[int]:
     seen = {o.full}
     # no row: one step by full adds nothing but checks the start {full}
     for row in o.adj or (o.full,):
-        new = {t & row for t in seen}
-        new -= seen
+        new = {t & row for t in seen} - seen
         if len(seen) + len(new) > cap:
             raise SizeLimitError(f"orthoclosed family exceeds cap {cap}")
         seen |= new

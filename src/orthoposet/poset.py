@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from operator import or_
 
 from .bitset import bits, maximal_cliques
@@ -156,10 +156,7 @@ def poset_from_covers(
             if r & bit:
                 up[v] = r | row
     # everything reachable from an element on a cycle, the cycle included
-    stuck = 0
-    for x in range(n):
-        if up[x] >> x & 1:
-            stuck |= up[x]
+    stuck = reduce(or_, [r for x, r in enumerate(up) if r >> x & 1], 0)
     if stuck:
         raise CycleError(
             f"cover relation has a cycle through elements {list(bits(stuck))}")

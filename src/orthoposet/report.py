@@ -1,18 +1,19 @@
 """Full analysis of one poset, with witnesses, as a stable JSON document.
 
 verify_theorems, the one decision pass, decides seven predicates and names
-each claim of CLAIMS it finds broken.  Dacey, compatible and the logic are
-those of the incomparability orthoset.  Every claim without a refuted_by
-holds at every size the census reaches; the ones with it fail because
-weak-N-free does not imply compatible.  A weak N does imply incompatible,
-so compatible implies weak-N-free.
+each claim of CLAIMS it finds broken; Dacey, compatible and the logic are
+the incomparability orthoset's.  build_report puts them in labels, and
+emit_json_report writes the JSON here, key by key.  Every claim without a
+refuted_by holds at every size the census reaches; the ones with it fail
+because weak-N-free does not imply compatible.  A weak N does imply
+incompatible, so compatible implies weak-N-free.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bitset import subset_labels
 from .bridges import incomparability_orthoset
@@ -157,21 +158,35 @@ def build_report(p: Poset, source: str = "<memory>",
                   rep.lattice_size, rep.violations, elapsed)
 
 
+def _strings(items, pad: str) -> str:
+    # a list of strings as json.dumps(indent=2) writes it, one a line
+    return (f"[\n{pad}" + f",\n{pad}".join(map(_quote, items))
+            + f"\n{pad[2:]}]" if items else "[]")
+
+
 def emit_json_report(report: Report, include_timing: bool = False) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline.
 
-    Equal analyses emit byte-identical documents; timing is opt-in since it
-    never reproduces.
+    Its bytes are json.dumps(payload, sort_keys=True, indent=2) + "\n" of
+    the fields' dict, as test_emit_matches_the_json_dumps_oracle checks;
+    it writes the schema's keys in sorted order and each string by json's
+    C encoder, which json.dumps skips under indent.  Equal analyses emit
+    equal bytes; timing is opt-in since it never reproduces.
     """
-    payload = {
-        "source": report.source,
-        "n": report.n,
-        "labels": list(report.labels),
-        "predicates": report.predicates,
-        "witnesses": report.witnesses,
-        "lattice_size": report.lattice_size,
-        "violations": list(report.violations),
-    }
-    if include_timing:
-        payload["elapsed_ms"] = round(report.elapsed_ms, 3)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    predicates = ",\n    ".join([
+        f"{_quote(k)}: {'true' if v else 'false'}"
+        for k, v in sorted(report.predicates.items())])
+    witnesses = ",\n    ".join([
+        f"{_quote(kind)}: {{\n      " + ",\n      ".join([
+            f"{_quote(k)}: {_strings(v, ' ' * 8)}"
+            for k, v in sorted(w.items())]) + "\n    }"
+        for kind, w in sorted(report.witnesses.items())])
+    timing = (f'\n  "elapsed_ms": {round(report.elapsed_ms, 3)!r},'
+              if include_timing else "")
+    return (f'{{{timing}\n  "labels": {_strings(report.labels, "    ")},\n'
+            f'  "lattice_size": {report.lattice_size},\n  "n": {report.n},\n'
+            f'  "predicates": {{\n    {predicates}\n  }},\n'
+            f'  "source": {_quote(report.source)},\n'
+            f'  "violations": {_strings(report.violations, "    ")},\n'
+            '  "witnesses": '
+            + (f"{{\n    {witnesses}\n  }}" if witnesses else "{}") + "\n}\n")

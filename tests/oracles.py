@@ -20,7 +20,9 @@ every closed set (brute_dacey), where the package extends clique
 closures instead, and the chain-antichain property as every filtered
 maximal chain meeting every filtered maximal antichain
 (brute_chain_antichain), where the package walks cover paths around each
-maximal antichain.
+maximal antichain.  The canonical JSON of a report is json.dumps with
+sorted keys and indent 2 (json_report_oracle), where the package writes
+it field by field.
 The last two sections are the exceptions.  The three basis criteria of the
 Dacey property and the mutual-perp check are stated on top of the
 package's perp and bases, so that tests can check the formulations against
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -349,6 +352,26 @@ def mutual_perp_condition(adj: tuple[int, ...], n: int, x: int, y: int) -> bool:
         if all(adj[z] >> v & 1 for v in my):
             return False
     return True
+
+
+# --------------------------------------------------------------- reports
+
+def json_report_oracle(report, include_timing: bool = False) -> str:
+    """The canonical JSON of an analyze report as json.dumps writes it:
+    sorted keys, indent 2, ASCII escapes and a trailing newline.
+    emit_json_report must emit the same bytes."""
+    payload = {
+        "source": report.source,
+        "n": report.n,
+        "labels": list(report.labels),
+        "predicates": report.predicates,
+        "witnesses": report.witnesses,
+        "lattice_size": report.lattice_size,
+        "violations": list(report.violations),
+    }
+    if include_timing:
+        payload["elapsed_ms"] = round(report.elapsed_ms, 3)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------- basis criteria (Dacey)

@@ -1,5 +1,6 @@
 """Analysis reports: content, canonical JSON, schema conformance."""
 
+import dataclasses
 import importlib
 import json
 import sys
@@ -15,6 +16,7 @@ from orthoposet.bridges import incomparability_orthoset
 from orthoposet.catalog import (antichain, chain, diamond22, n_poset,
                                 nfree_strict_non_dacey,
                                 weak_nfree_incompatible)
+from orthoposet.poset import poset_from_covers
 from orthoposet.census import (_poset_classes, enumerate_labeled_posets,
                                random_poset)
 from orthoposet.logic import build_logic, is_boolean, is_orthomodular
@@ -22,6 +24,8 @@ from orthoposet.npatterns import find_covering_n, find_n, find_weak_n
 from orthoposet.orthoset import is_compatible, is_dacey
 from orthoposet.report import (CLAIMS, build_report, emit_json_report,
                                verify_theorems)
+
+from oracles import json_report_oracle
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report-schema.json")
@@ -119,6 +123,32 @@ def test_timing_is_opt_in():
     timed = validate(emit_json_report(rep, include_timing=True))
     assert timed["elapsed_ms"] >= 0
     assert rep.elapsed_ms >= 0
+
+
+def test_emit_matches_the_json_dumps_oracle():
+    posets = [p for _, level in _poset_classes(6) for p, _ in level]
+    posets += [n_poset(), diamond22(), weak_nfree_incompatible(),
+               nfree_strict_non_dacey(), chain(16), antichain(0),
+               antichain(1), antichain(8)]
+    posets += [random_poset(6 + seed % 11, seed, (0.2, 0.35, 0.5)[seed % 3])
+               for seed in range(50)]
+    reports = [build_report(p) for p in posets]
+    # labels and a source that json must escape: quotes, backslashes,
+    # control and non-ASCII characters, and JSON's own punctuation; the
+    # N on the first four puts them in witnesses too
+    odd = poset_from_covers(6, [(0, 2), (1, 2), (1, 3), (3, 4), (2, 5)],
+                            labels=('a"b', "back\\slash", "\u03b1", "\x01",
+                                    "[x,]", "{:}"))
+    report = build_report(odd, source='dir "q"\\\u00e9t\u00e9.poset')
+    assert set(report.witnesses) >= {"n", "dacey", "compatible"}
+    reports.append(report)
+    # elapsed_ms round-trips through round(x, 3) and float repr
+    reports += [dataclasses.replace(report, elapsed_ms=ms)
+                for ms in (0.0, 1e-05, 12345.6789, 1e16)]
+    for rep in reports:
+        for timing in (False, True):
+            assert emit_json_report(rep, timing) == \
+                json_report_oracle(rep, timing), (rep.labels, timing)
 
 
 def test_reports_validate_on_random_posets():
