@@ -22,8 +22,8 @@ from .errors import (CycleError, NotOrthoclosedError, OrthoposetError,
 from .ioformats import (emit_dot_hasse, emit_dot_lattice, parse_poset_file,
                         serialize_poset_file)
 from .logic import Logic, build_logic, is_boolean, is_orthomodular
-from .npatterns import (NWitness, chain_antichain_property, find_covering_n,
-                        find_n, find_weak_n, is_n_free)
+from .npatterns import (chain_antichain_property, find_covering_n, find_n,
+                        find_weak_n, is_n_free)
 from .orthoset import (Orthoset, bases, double_perp, enumerate_orthoclosed,
                        is_compatible, is_dacey, is_orthoclosed,
                        orthoset_from_pairs, perp, validate_orthoset)
@@ -35,7 +35,7 @@ from .report import (Report, TheoremReport, build_report, emit_json_report,
 
 __all__ = [
     "CensusSummary", "CycleError", "Logic",
-    "NotOrthoclosedError", "NWitness", "Orthoset", "OrthoposetError",
+    "NotOrthoclosedError", "Orthoset", "OrthoposetError",
     "Poset", "PosetSyntaxError", "Report", "SizeLimitError",
     "TheoremReport", "UnknownElementError",
     "antichain", "bases", "bits", "build_logic", "build_report",

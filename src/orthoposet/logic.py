@@ -9,16 +9,16 @@ Morgan, as the perp of the meet of the perps.  Orthomodularity is decided
 by the family's one Dacey scan (Dacey's theorem), in O(m * n) perps, and
 Booleanness by the orthoset's one compatibility scan, in O(n**2) steps;
 only a logic that fails is scanned for its witness, over its comparable
-pairs or in one row of m**2 pairs.  The m x m tables of order, meet, join
-and orthocomplement are built on first read, for the `logic` command and
-the DOT lattice.  The second formulations (the double perp of the union,
-the distributive law on every triple, the orthomodular law on every pair)
-are the test oracles.
+pairs or in one row of m**2 pairs, and names it by the masks of its closed
+sets.  The m x m tables of order, meet, join and orthocomplement are
+built on first read, for the `logic` command and the DOT lattice.  The
+second formulations (the double perp of the union, the distributive law
+on every triple, the orthomodular law on every pair) are the test
+oracles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -110,7 +110,8 @@ def build_logic(o: Orthoset, max_lattice: int = DEFAULT_MAX_LATTICE) -> Logic:
 
 
 def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
-    """Decide x <= y implies y = x join (y meet x-compl); lex-least witness.
+    """Decide x <= y implies y = x join (y meet x-compl); the witness is
+    the lex-least failing pair (x, y) of masks.
 
     An ortholattice is orthomodular iff x <= y and x-compl meet y = 0
     imply x = y (Kalmbach, Orthomodular Lattices, 1983): the law gives
@@ -130,54 +131,50 @@ def is_orthomodular(l: Logic) -> tuple[bool, tuple[int, int] | None]:
 
 
 def _oml_witness(l: Logic) -> tuple[int, int]:
-    # the lex-least pair x_i < x_j failing the law: x v (y & perp x) =
+    # the lex-least pair x < y failing the law: x v (y & perp x) =
     # perp(perp x & perp(y & perp x)) is y iff perp x & perp(y & perp x) is
     # perp y, the perp being a bijection on closed sets
     elements, perps = l.elements, l._perp
     for i, x in enumerate(elements):
-        px = perps[x]
-        above = compress(range(i + 1, l.m),
-                         map(x.__eq__, map(x.__and__, elements[i + 1:])))
-        for j in above:
-            y = elements[j]
+        px, rest = perps[x], elements[i + 1:]
+        for y in compress(rest, map(x.__eq__, map(x.__and__, rest))):
             if px & perps[y & px] != perps[y]:
-                return i, j
+                return x, y
     raise AssertionError("no witness for a non-orthomodular logic")
 
 
 def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
-    """Decide distributivity; lex-least witness triple.
+    """Decide distributivity; the witness is the lex-least failing triple
+    of masks.
 
     The verdict is the compatibility scan's, by is_compatible's proof.  The
-    lex-least witness (i, j, k), x_i meet (x_j join x_k) unequal to
-    (x_i meet x_j) join (x_i meet x_k), lies in the row i of the least
-    join-irreducible c that is not join-prime, so only that row is
-    scanned, m**2 pairs at most:
+    lex-least witness (x, y, z), x meet (y join z) unequal to (x meet y)
+    join (x meet z), has x = c, the least join-irreducible that is not
+    join-prime, so only c's row is scanned, m**2 pairs at most:
 
-    - row i has a witness: c <= a join b with neither a nor b above c, and
-      c is join-irreducible, so c meet (a join b) = c while (c meet a) join
-      (c meet b) lies strictly below c;
-    - no earlier row has one: if (i', j, k) fails, put d = x_i' meet (x_j
-      join x_k), so (d, j, k) fails too.  Some join-irreducible below d is
-      not below (x_i' meet x_j) join (x_i' meet x_k), and it is not
-      join-prime, being below x_j join x_k but below neither.  It lies
-      inside x_i', so c, the least such mask, is at most x_i' as a number
-      and i is at most i'.
+    - c's row has a witness: c <= a join b with neither a nor b above c,
+      and c is join-irreducible, so c meet (a join b) = c while (c meet a)
+      join (c meet b) lies strictly below c;
+    - no smaller x has one: if (x', y, z) fails, put d = x' meet (y join
+      z), so (d, y, z) fails too.  Some join-irreducible below d is not
+      below (x' meet y) join (x' meet z), and it is not join-prime, being
+      below y join z but below neither.  It lies inside x', so c, the
+      least such mask, is at most x' as a number.
 
-    By the second bullet c <= cl x when x has an incompatible partner y,
-    one not orthogonal to x with cl y missing cl x, as (cl x, cl y, adj[y])
-    fails (see is_compatible).  And c is such a cl x, so the points are
-    walked by closure to find it.  Every closed set is the join of its
-    points' closures cl v = perp(adj[v]), so c = cl v for some v.  If v
-    has no incompatible partner, each closed set that misses c lies in
-    adj[v] = perp(c).  The join I of the closed sets strictly below c
+    By the second bullet c <= cl u when a point u has an incompatible
+    partner t, one not orthogonal to u with cl t missing cl u, as (cl u,
+    cl t, adj[t]) fails (see is_compatible).  And c is such a cl u, so the
+    points are walked by closure to find it.  Every closed set is the join
+    of its points' closures cl v = perp(adj[v]), so c = cl v for some v.
+    If v has no incompatible partner, each closed set that misses c lies
+    in adj[v] = perp(c).  The join I of the closed sets strictly below c
     misses v, so some w in perp(I) is not orthogonal to v, and cl w,
-    inside perp(I), meets c in a point z.  As z is not in I, cl z = c and
-    I lies in adj[z] = perp(c): I = 0, so c is an atom, every closed set
+    inside perp(I), meets c in a point s.  As s is not in I, cl s = c and
+    I lies in adj[s] = perp(c): I = 0, so c is an atom, every closed set
     not above c lies in perp(c), and c is join-prime, a contradiction.
 
-    The row skips each x_j and x_k above c, where both sides equal c, so
-    no witness is lost.  The scan is asserted to find its witness.
+    The row skips each y and z above c, where both sides equal c, so no
+    witness is lost.  The scan is asserted to find its witness.
     """
     o = l.orthoset
     if o._compatible[0]:
@@ -185,10 +182,9 @@ def is_boolean(l: Logic) -> tuple[bool, tuple[int, int, int] | None]:
     hulls = o._hulls
     v, _ = next(_incompatible(o, sorted(range(o.n), key=hulls.__getitem__)))
     c, elements, perps = hulls[v], l.elements, l._perp
-    row = [(j, perps[x], perps[c & x]) for j, x in enumerate(elements)
-           if c & ~x]
-    for j, pj, qj in row:
-        for k, pk, qk in row:
-            if c & perps[pj & pk] != perps[qj & qk]:
-                return False, (bisect_left(elements, c), j, k)
+    row = [(x, perps[x], perps[c & x]) for x in elements if c & ~x]
+    for y, py, qy in row:
+        for z, pz, qz in row:
+            if c & perps[py & pz] != perps[qy & qz]:
+                return False, (c, y, z)
     raise AssertionError("no witness for a non-distributive logic")

@@ -10,18 +10,9 @@ rows it walks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from .poset import Poset, maximal_antichains
-
-NKind = Literal["n", "covering_n", "weak_n"]
-
-
-@dataclass(frozen=True)
-class NWitness:
-    kind: NKind
-    quad: tuple[int, int, int, int]  # (a, b, c, d)
 
 
 def _find_quad(n: int, above_a: Sequence[int], above_b: Sequence[int],
@@ -56,32 +47,25 @@ def _find_quad(n: int, above_a: Sequence[int], above_b: Sequence[int],
     return None
 
 
-def _witness(kind: NKind, quad: tuple[int, int, int, int] | None,
-             ) -> NWitness | None:
-    return None if quad is None else NWitness(kind, quad)
-
-
 def is_n_free(p: Poset) -> bool:
     """True iff no quadruple of p forms an N."""
     return find_n(p) is None
 
 
-def find_n(p: Poset) -> NWitness | None:
-    """Lexicographically least N quadruple, or None."""
-    return _witness("n", _find_quad(p.n, p.up, p.up, p.incomp,
-                                    p.cover_up, p.incomp))
+def find_n(p: Poset) -> tuple[int, int, int, int] | None:
+    """Lexicographically least N quadruple (a, b, c, d), or None."""
+    return _find_quad(p.n, p.up, p.up, p.incomp, p.cover_up, p.incomp)
 
 
-def find_covering_n(p: Poset) -> NWitness | None:
+def find_covering_n(p: Poset) -> tuple[int, int, int, int] | None:
     """Lexicographically least N whose three order relations are all covers."""
-    return _witness("covering_n", _find_quad(p.n, p.cover_up, p.cover_up,
-                                             p.incomp, p.cover_up, p.incomp))
+    return _find_quad(p.n, p.cover_up, p.cover_up, p.incomp, p.cover_up,
+                      p.incomp)
 
 
-def find_weak_n(p: Poset) -> NWitness | None:
+def find_weak_n(p: Poset) -> tuple[int, int, int, int] | None:
     """Lexicographically least weak N (a and d may be comparable), or None."""
-    return _witness("weak_n", _find_quad(p.n, p.up, p.up, [p.full] * p.n,
-                                         p.cover_up, p.incomp))
+    return _find_quad(p.n, p.up, p.up, [p.full] * p.n, p.cover_up, p.incomp)
 
 
 def chain_antichain_property(p: Poset) -> bool:

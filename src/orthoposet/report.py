@@ -64,7 +64,7 @@ class TheoremReport:
 
     witnesses maps each failing predicate to the raw witness its standalone
     procedure names: element indices for the N quads and the incompatible
-    pair, masks for the Dacey pair and the oml and boolean logic elements.
+    pair, masks of closed sets for the Dacey, oml and boolean witnesses.
     The census tallies these reports and build_report puts them in labels.
     """
 
@@ -85,19 +85,13 @@ def verify_theorems(p: Poset,
     """The one decision pass: verdicts, broken CLAIMS and witnesses of a
     poset.  One Dacey scan decides Dacey and orthomodularity, and one
     compatibility scan decides compatibility and Booleanness."""
-    found = {w.kind: w.quad for w in (find_n(p), find_covering_n(p),
-                                      find_weak_n(p)) if w is not None}
+    found = {"n": find_n(p), "covering_n": find_covering_n(p),
+             "weak_n": find_weak_n(p)}
     o = incomparability_orthoset(p)
     # the lattice cap stops the family build, before any scan walks it
     logic = build_logic(o, max_lattice)
-    family = logic.elements
-    found["dacey"] = logic._dacey[1]
-    found["compatible"] = is_compatible(o)[1]
-    # the logic names its elements by index; witnesses carry their masks
-    for name, (_, idx) in (("oml", is_orthomodular(logic)),
-                           ("boolean", is_boolean(logic))):
-        if idx is not None:
-            found[name] = tuple(family[i] for i in idx)
+    found.update(dacey=logic._dacey[1], compatible=is_compatible(o)[1],
+                 oml=is_orthomodular(logic)[1], boolean=is_boolean(logic)[1])
     witnesses = {k: w for k, w in found.items() if w is not None}
 
     verdicts = {"n_free": "n" not in witnesses,
@@ -111,7 +105,7 @@ def verify_theorems(p: Poset,
         if (verdicts[lhs] != verdicts[rhs] if relation == "vs"
             else verdicts[lhs] and not verdicts[rhs])])
     return TheoremReport(*[verdicts[name] for name in _PREDICATES],
-                         len(family), violations, witnesses)
+                         logic.m, violations, witnesses)
 
 
 @dataclass(frozen=True)

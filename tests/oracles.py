@@ -38,8 +38,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from orthoposet.errors import NotOrthoclosedError
 from orthoposet.orthoset import (Orthoset, bases, double_perp, is_orthoclosed,
                                  perp)
@@ -56,21 +54,21 @@ def relation_filter_posets(n: int) -> set[tuple[int, ...]]:
 
     Every unordered pair independently takes one of three states (unrelated,
     i<j, j<i), giving 3**C(n,2) candidate antisymmetric relations; keep the
-    transitively closed ones.  Vectorized, practical for n <= 5.
+    transitively closed ones, where x < y gives up[y] inside up[x].
+    Practical for n <= 5.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    k = len(pairs)
-    states = np.indices((3,) * k).reshape(k, -1).T if k else np.zeros((1, 0), int)
-    rel = np.zeros((states.shape[0], n, n), dtype=bool)
-    for idx, (i, j) in enumerate(pairs):
-        rel[states[:, idx] == 1, i, j] = True
-        rel[states[:, idx] == 2, j, i] = True
-    comp = np.matmul(rel.astype(np.uint8), rel.astype(np.uint8)) > 0
-    ok = ~(comp & ~rel).any(axis=(1, 2))
+    pairs = list(itertools.combinations(range(n), 2))
     out = set()
-    for mat in rel[ok]:
-        out.add(tuple(int(sum(1 << j for j in range(n) if mat[i, j]))
-                      for i in range(n)))
+    for states in itertools.product(range(3), repeat=len(pairs)):
+        up = [0] * n
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                up[i] |= 1 << j
+            elif state == 2:
+                up[j] |= 1 << i
+        if not any(up[y] & ~up[x]
+                   for x in range(n) for y in members(up[x], n)):
+            out.add(tuple(up))
     return out
 
 
@@ -258,13 +256,13 @@ def brute_compatible_pair(adj: tuple[int, ...], n: int,
 
 def brute_distributivity_witness(adj: tuple[int, ...], n: int,
                                  ) -> tuple[int, int, int] | None:
-    """Lex-least (i, j, k) with x_i meet (x_j join x_k) unequal to
-    (x_i meet x_j) join (x_i meet x_k), or None when the logic is Boolean.
+    """Lex-least triple (x, y, z) of closed sets, as masks, with x meet
+    (y join z) unequal to (x meet y) join (x meet z), or None when the
+    logic is Boolean.
 
-    Indices refer to the closed sets in ascending mask order; meet is
-    intersection and join the double perp of the union, each evaluated
-    directly on masks for every triple.  The double perp is remembered per
-    union, so the scan costs m**3 lookups.
+    Meet is intersection and join the double perp of the union, each
+    evaluated directly on masks for every triple.  The double perp is
+    remembered per union, so the scan costs m**3 lookups.
     """
     closed = brute_closed_sets(adj, n)
 
@@ -272,31 +270,30 @@ def brute_distributivity_witness(adj: tuple[int, ...], n: int,
     def closure(u):
         return brute_perp(adj, n, brute_perp(adj, n, u))
 
-    for i, x in enumerate(closed):
-        for j, y in enumerate(closed):
-            for k, z in enumerate(closed):
+    for x in closed:
+        for y in closed:
+            for z in closed:
                 if x & closure(y | z) != closure(x & y | x & z):
-                    return i, j, k
+                    return x, y, z
     return None
 
 
 def brute_orthomodular_witness(adj: tuple[int, ...], n: int,
                                ) -> tuple[int, int] | None:
-    """Lex-least (i, j) with x_i a proper subset of x_j and the double perp
-    of x_i | (x_j & perp x_i) unequal to x_j, or None when the logic is
-    orthomodular.
+    """Lex-least pair (x, y) of closed sets, as masks, with x a proper
+    subset of y and the double perp of x | (y & perp x) unequal to y, or
+    None when the logic is orthomodular.
 
-    Indices refer to the closed sets in ascending mask order; every pair is
-    evaluated directly on masks, m**2 pairs.
+    Every pair is evaluated directly on masks, m**2 pairs.
     """
     closed = brute_closed_sets(adj, n)
-    for i, x in enumerate(closed):
+    for x in closed:
         px = brute_perp(adj, n, x)
-        for j, y in enumerate(closed):
+        for y in closed:
             if x & ~y or x == y:
                 continue
             if brute_perp(adj, n, brute_perp(adj, n, x | y & px)) != y:
-                return i, j
+                return x, y
     return None
 
 

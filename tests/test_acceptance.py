@@ -73,7 +73,7 @@ def test_criterion_2_n_poset_analysis():
     inc = incomparability_orthoset(p)
     rep = verify_theorems(p)
     elapsed = time.perf_counter() - t0
-    assert w.quad == (0, 1, 2, 3)
+    assert w == (0, 1, 2, 3)
     # relabeling along the zigzag b-a-d-c maps incomparability onto the path
     pi = (1, 0, 3, 2)
     remapped = [0] * 4
@@ -87,7 +87,7 @@ def test_criterion_2_n_poset_analysis():
     assert not rep.n_free and not rep.dacey and not rep.oml
     assert rep.violations == ()
     assert elapsed < 0.001, f"took {elapsed * 1000:.3f} ms"
-    print(f"ACCEPTANCE 2: PASS - N poset: witness {w.quad}, "
+    print(f"ACCEPTANCE 2: PASS - N poset: witness {w}, "
           f"incomparability = 4-path, consistent verdicts, "
           f"{elapsed * 1000:.3f} ms")
 
@@ -103,7 +103,7 @@ def test_criterion_3_diamond_lattice():
     boolean = is_boolean(logic)
     elapsed = time.perf_counter() - t0
     assert rep.n_free
-    assert w is not None and w.quad == (0, 1, 2, 3)
+    assert w == (0, 1, 2, 3)
     assert logic.m == 6
     assert oml == (True, None)
     assert not boolean[0]

@@ -212,7 +212,7 @@ def test_census_rejects_a_worker_count_below_one(workers):
         census_run(3, workers=workers)
 
 
-def test_census_pool_is_no_larger_than_the_shards(monkeypatch):
+def test_census_pool_is_no_larger_than_the_decided_classes(monkeypatch):
     # a stand-in Pool that records its size and maps serially, so a huge
     # worker count starts no process
     sizes = []

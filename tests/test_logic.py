@@ -27,9 +27,9 @@ def test_hexagon_logic():
     assert logic.ocompl == (5, 4, 3, 2, 1, 0)
     assert verify_ortholattice(logic).ok
     ok, witness = is_orthomodular(logic)
-    assert not ok and witness == (1, 2)
+    assert not ok and witness == (0b0001, 0b0101)
     ok, witness = is_boolean(logic)
-    assert not ok and witness == (2, 1, 3)
+    assert not ok and witness == (0b0101, 0b0001, 0b1000)
 
 
 def test_mo2_logic():
@@ -39,7 +39,7 @@ def test_mo2_logic():
     assert verify_ortholattice(logic).ok
     assert is_orthomodular(logic) == (True, None)
     ok, witness = is_boolean(logic)
-    assert not ok and witness == (1, 2, 3)
+    assert not ok and witness == (0b0001, 0b0010, 0b0100)
 
 
 def test_boolean_extremes():
@@ -111,7 +111,7 @@ def test_orthomodular_witness_is_violation():
         if ok:
             assert witness is None
             continue
-        i, j = witness
+        i, j = map(logic.elements.index, witness)
         assert logic.leq[i] >> j & 1 and i != j
         ci = logic.ocompl[i]
         assert logic.join[i][logic.meet[j][ci]] != j
@@ -253,7 +253,8 @@ def test_orthomodular_scans_pairs_only_for_the_witness(monkeypatch):
             build_logic(incomparability_orthoset(p))) == (True, None)
     assert calls == []
     assert is_orthomodular(
-        build_logic(incomparability_orthoset(n_poset()))) == (False, (1, 2))
+        build_logic(incomparability_orthoset(n_poset()))) \
+        == (False, (0b0001, 0b0101))
     assert calls == [6]
 
 

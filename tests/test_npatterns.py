@@ -14,11 +14,10 @@ from oracles import brute_chain_antichain, brute_n_quads
 
 def test_n_poset_witnesses():
     p = n_poset()
-    w = find_n(p)
-    assert w.kind == "n" and w.quad == (0, 1, 2, 3)
+    assert find_n(p) == (0, 1, 2, 3)
     # every order relation of the N is already a cover
-    assert find_covering_n(p).quad == (0, 1, 2, 3)
-    assert find_weak_n(p).quad == (0, 1, 2, 3)
+    assert find_covering_n(p) == (0, 1, 2, 3)
+    assert find_weak_n(p) == (0, 1, 2, 3)
     assert not is_n_free(p)
 
 
@@ -30,7 +29,7 @@ def test_n_free_fixtures():
     assert find_weak_n(chain(5)) is None
     assert find_weak_n(weak_nfree_incompatible()) is None
     # the diamond is N-free yet has a weak N: its a, d pair is comparable
-    assert find_weak_n(diamond22()).quad == (0, 1, 2, 3)
+    assert find_weak_n(diamond22()) == (0, 1, 2, 3)
 
 
 def test_chain_antichain_fixtures():
@@ -62,12 +61,9 @@ def test_detectors_against_quad_scan_exhaustive():
             plain = brute_n_quads(n, p.up)
             weak = brute_n_quads(n, p.up, weak=True)
             cov = brute_n_quads(n, p.up, covering=True)
-            w = find_n(p)
-            assert (w.quad if w else None) == (plain[0] if plain else None)
-            w = find_weak_n(p)
-            assert (w.quad if w else None) == (weak[0] if weak else None)
-            w = find_covering_n(p)
-            assert (w.quad if w else None) == (cov[0] if cov else None)
+            assert find_n(p) == (plain[0] if plain else None)
+            assert find_weak_n(p) == (weak[0] if weak else None)
+            assert find_covering_n(p) == (cov[0] if cov else None)
             assert is_n_free(p) == (not plain)
 
 
@@ -77,12 +73,9 @@ def test_detectors_against_quad_scan_random():
         plain = brute_n_quads(p.n, p.up)
         weak = brute_n_quads(p.n, p.up, weak=True)
         cov = brute_n_quads(p.n, p.up, covering=True)
-        w = find_n(p)
-        assert (w.quad if w else None) == (plain[0] if plain else None)
-        w = find_weak_n(p)
-        assert (w.quad if w else None) == (weak[0] if weak else None)
-        w = find_covering_n(p)
-        assert (w.quad if w else None) == (cov[0] if cov else None)
+        assert find_n(p) == (plain[0] if plain else None)
+        assert find_weak_n(p) == (weak[0] if weak else None)
+        assert find_covering_n(p) == (cov[0] if cov else None)
 
 
 def test_pattern_presence_is_self_dual():

@@ -218,7 +218,11 @@ def test_cover_rows_against_filter():
 
 
 def test_from_up_rows_rejects_non_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^antisymmetry fails on \(0, 1\)$"):
         from_up_rows((0b10, 0b01))  # 0 < 1 and 1 < 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^transitivity fails at 0 < 1$"):
         from_up_rows((0b010, 0b100, 0))  # missing 0 < 2
+    with pytest.raises(ValueError, match=r"^up\[0\] has bits outside 0\.\.1$"):
+        from_up_rows((0b100, 0))  # 0 < 2 on two elements
+    with pytest.raises(ValueError, match=r"^order is reflexive at 0$"):
+        from_up_rows((0b1,))  # 0 < 0

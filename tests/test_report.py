@@ -205,7 +205,7 @@ def standalone_witnesses(p) -> dict[str, dict]:
                          ("weak_n", find_weak_n)):
         w = finder(p)
         if w:
-            out[kind] = {"quad": [labels[i] for i in w.quad]}
+            out[kind] = {"quad": [labels[i] for i in w]}
     _, dw = is_dacey(o)
     if dw:
         out["dacey"] = {"closed_set": subset_labels(dw[0], labels),
@@ -214,11 +214,11 @@ def standalone_witnesses(p) -> dict[str, dict]:
     if pw:
         out["compatible"] = {"pair": [labels[i] for i in pw]}
     logic = build_logic(o)
-    for kind, (_, idx) in (("oml", is_orthomodular(logic)),
-                           ("boolean", is_boolean(logic))):
-        if idx:
-            out[kind] = {k: subset_labels(logic.elements[i], labels)
-                         for k, i in zip("xyz", idx)}
+    for kind, (_, masks) in (("oml", is_orthomodular(logic)),
+                             ("boolean", is_boolean(logic))):
+        if masks:
+            out[kind] = {k: subset_labels(mask, labels)
+                         for k, mask in zip("xyz", masks)}
     return out
 
 
